@@ -16,7 +16,8 @@ Historically this bench pinned ``architecture="parallel"`` because the
 integrated (Figure-2) hybrid's ``infer_batch`` lost to its own
 per-image loop.  That regression is fixed (deterministic units run one
 speculative pass instead of ``executions_per_op`` identical ones, and
-the pass accumulates in tap-major scratch buffers), so the pin is
+the pass reads each tap's operands as a window of the padded input
+into reused scratch buffers), so the pin is
 gone: both architectures are asserted, the parallel hybrid at >= 3x
 and the integrated hybrid at >= 2x -- plus a direct >= 2x bar on
 integrated ``infer_batch`` against its serial loop at batch 64.

@@ -86,10 +86,10 @@ class ArrayFaultyExecutionUnit(ArrayExecutionUnit):
     fault corrupts the result array element-by-element -- the same
     exposure surface as :class:`FaultyExecutionUnit` gives scalar
     execution, with independent draws per pass so comparison-based
-    detection keeps working.  ``deterministic`` holds only when both
-    the base arithmetic and the fault are (a stuck-at fault corrupts
-    every pass identically, so speculation stays bit-exact against
-    the scalar path).
+    detection keeps working.  Speculation stays bit-exact against the
+    scalar path only over a deterministic base with a stuck-at fault,
+    which corrupts every pass identically
+    (:func:`repro.reliable.vectorized.is_deterministic`).
     """
 
     def __init__(
@@ -103,10 +103,6 @@ class ArrayFaultyExecutionUnit(ArrayExecutionUnit):
         self.fault = fault
         self.base = base
         self.targets = targets
-
-    @property
-    def deterministic(self) -> bool:  # type: ignore[override]
-        return self.base.deterministic and self.fault.deterministic
 
     def multiply(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None

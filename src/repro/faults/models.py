@@ -27,14 +27,6 @@ class FaultModel:
     Subclasses implement :meth:`fires` (does this execution get hit?)
     and :meth:`corrupt` (what does the hit do to the result?).
 
-    ``deterministic`` declares that :meth:`apply` (and
-    :meth:`apply_array`) is a pure function of the value -- every
-    execution of the same operation is corrupted identically, as a
-    stuck-at fault is.  The vectorized engine uses it to decide when
-    speculation under this fault is still bit-exact against the
-    scalar path (a deterministic fault corrupts every redundant pass
-    the same way, so comparisons behave identically in both engines).
-
     Pass an explicit ``rng`` for reproducibility.  When omitted, each
     model gets a *freshly entropy-seeded* generator: a shared default
     stream (the old ``default_rng(0)``) silently made two
@@ -45,10 +37,6 @@ class FaultModel:
     (:mod:`repro.campaigns.seeding`) and
     :meth:`repro.campaigns.FaultSpec.build` rejects ``rng=None``.
     """
-
-    #: Whether corruption is a pure function of the value (stuck-at
-    #: behaviour); stochastic models leave this False.
-    deterministic: bool = False
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         # repro: allow[RNG-SEED] -- deliberate fresh entropy: the PR 2
@@ -186,10 +174,11 @@ class PermanentFault(FaultModel):
     ``bit`` selects which result bit is stuck; the flip is the same on
     every execution, so redundant re-execution on the same unit agrees
     with itself -- the common-mode blind spot of temporal redundancy
-    that only *spatial* (diverse) redundancy can uncover.
+    that only *spatial* (diverse) redundancy can uncover.  Being a
+    pure function of the value, it is the one model under which the
+    vectorized engine's speculation stays bit-exact
+    (:func:`repro.reliable.vectorized.is_deterministic`).
     """
-
-    deterministic = True
 
     def __init__(
         self, bit: int = 30, rng: np.random.Generator | None = None

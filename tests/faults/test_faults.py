@@ -19,6 +19,7 @@ from repro.faults.models import (
     TransientFault,
 )
 from repro.nn import Conv2D
+from repro.reliable.vectorized import is_deterministic
 
 
 class TestBitflip:
@@ -236,7 +237,7 @@ class TestArrayFaultApplication:
         )
         assert out.tobytes() == expected.tobytes()
         assert fault.activations == values.size
-        assert fault.deterministic
+        assert is_deterministic(FaultyExecutionUnit(fault).as_array_unit())
 
     def test_transient_array_rate_and_accounting(self):
         fault = TransientFault(0.25, np.random.default_rng(0))
@@ -248,7 +249,9 @@ class TestArrayFaultApplication:
         assert changed == fault.activations
         # ~25% of elements hit.
         assert 800 <= fault.activations <= 1200
-        assert not fault.deterministic
+        assert not is_deterministic(
+            FaultyExecutionUnit(fault).as_array_unit()
+        )
 
     def test_transient_zero_probability_is_identity(self):
         fault = TransientFault(0.0, np.random.default_rng(0))
@@ -274,7 +277,7 @@ class TestArrayFaultyUnit:
         unit = FaultyExecutionUnit(PermanentFault(bit=5))
         array_unit = unit.as_array_unit()
         assert array_unit is not None
-        assert array_unit.deterministic
+        assert is_deterministic(array_unit)
 
     def test_targets_respected(self):
         unit = FaultyExecutionUnit(
@@ -288,7 +291,7 @@ class TestArrayFaultyUnit:
         unit = FaultyExecutionUnit(
             TransientFault(0.5, np.random.default_rng(0))
         ).as_array_unit()
-        assert not unit.deterministic
+        assert not is_deterministic(unit)
 
     def test_base_without_array_form_gives_none(self):
         from repro.reliable.execution_unit import PerfectExecutionUnit

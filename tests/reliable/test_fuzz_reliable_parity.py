@@ -4,7 +4,9 @@ Two references, fuzzed through :mod:`tests.support.fuzz`:
 
 * ``ReliableConv2D(engine="vectorized")`` vs the scalar Algorithm 3
   loop -- outputs and execution reports bitwise/field equal across
-  random layer geometry, operators, filter subsets and batch sizes;
+  random layer geometry (padding up to 2), operators, units (binary64,
+  binary32, stuck-at faults), zero weights, signed-zero and
+  non-finite inputs, filter subsets and batch sizes;
 * :func:`repro.reliable.ecc.decode_words` (whole-array mask
   classification) vs an independent per-word Python decode of the same
   SEC-DED layout, across random data and injected 0/1/2-bit upsets.
@@ -15,9 +17,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults.injector import FaultyExecutionUnit
+from repro.faults.models import PermanentFault
 from repro.nn.layers.conv import Conv2D
 from repro.reliable import ecc
+from repro.reliable.execution_unit import (
+    Float32ExecutionUnit,
+    PerfectExecutionUnit,
+)
 from repro.reliable.executor import ReliableConv2D
+from repro.reliable.operators import make_operator
 from tests.support.fuzz import (
     assert_arrays_bitwise_equal,
     assert_reports_equal,
@@ -30,13 +39,42 @@ from tests.support.fuzz import (
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("rng", differential_cases(8, root_seed=90210))
+#: Special input words sprinkled over the fuzzed batches.  The NaN is
+#: the x86 default NaN (sign set), the word ``inf * 0`` and
+#: ``inf - inf`` produce, so every NaN the arithmetic meets carries
+#: one word.  When two *different* NaN words meet in one operation,
+#: IEEE 754 leaves unspecified which propagates, and NumPy's scalar
+#: and array loops choose differently -- a divergence of NaN payloads
+#: between the engines, not of the reliable pass.
+SIGNED_ZEROS = np.array([0.0, -0.0], dtype=np.float32)
+NON_FINITE = np.array([np.inf, -np.inf, -np.nan], dtype=np.float32)
+
+#: Scalar units the conv fuzz draws from, each with the special words
+#: it may meet: fault-free binary64 and binary32 arithmetic take
+#: signed zeros and non-finite values; stuck-at faults (exponent,
+#: sign, low mantissa) take signed zeros only, because flipping a bit
+#: of a NaN yields a second NaN word (see above).
+UNITS = (
+    (PerfectExecutionUnit, np.concatenate([SIGNED_ZEROS, NON_FINITE])),
+    (Float32ExecutionUnit, np.concatenate([SIGNED_ZEROS, NON_FINITE])),
+    (lambda: FaultyExecutionUnit(PermanentFault(bit=30)), SIGNED_ZEROS),
+    (lambda: FaultyExecutionUnit(PermanentFault(bit=31)), SIGNED_ZEROS),
+    (
+        lambda: FaultyExecutionUnit(
+            PermanentFault(bit=2), Float32ExecutionUnit()
+        ),
+        SIGNED_ZEROS,
+    ),
+)
+
+
+@pytest.mark.parametrize("rng", differential_cases(16, root_seed=90210))
 def test_vectorized_conv_matches_scalar(rng):
     in_channels = int(rng.integers(1, 4))
     out_channels = int(rng.integers(1, 5))
     kernel = int(rng.choice([1, 3, 5]))
     stride = int(rng.choice([1, 2]))
-    padding = int(rng.choice([0, 1]))
+    padding = int(rng.choice([0, 1, 2]))
     size = int(rng.integers(kernel + padding, 13))
     layer = Conv2D(
         in_channels,
@@ -47,11 +85,23 @@ def test_vectorized_conv_matches_scalar(rng):
         rng=rng,
         name="fuzz-conv",
     )
+    if rng.random() < 0.5:
+        # Zero weights: whole filters and scattered taps, so products
+        # and accumulations meet +0.0/-0.0 and inf * 0 = NaN.
+        weight = layer.weight.value
+        weight[rng.random(weight.shape) < 0.3] = 0.0
+        if rng.random() < 0.5:
+            weight[int(rng.integers(out_channels))] = 0.0
+    unit_index = int(rng.integers(len(UNITS)))
+    make_unit, special_values = UNITS[unit_index]
     operator = str(rng.choice(["plain", "dmr", "tmr"]))
     n = int(rng.integers(1, 3))
     x = rng.normal(0.0, 1.0, size=(n, in_channels, size, size)).astype(
         np.float32
     )
+    if rng.random() < 0.5:
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice(special_values, size=int(special.sum()))
     if rng.random() < 0.5:
         filters = None
     else:
@@ -60,13 +110,22 @@ def test_vectorized_conv_matches_scalar(rng):
             int(f)
             for f in rng.choice(out_channels, size=count, replace=False)
         )
-    scalar = ReliableConv2D(layer, operator, engine="scalar")
-    vectorized = ReliableConv2D(layer, operator, engine="vectorized")
-    out_s, rep_s = scalar.forward(x, filters=filters)
-    out_v, rep_v = vectorized.forward(x, filters=filters)
+    scalar = ReliableConv2D(
+        layer, make_operator(operator, make_unit()),
+        engine="scalar",
+    )
+    vectorized = ReliableConv2D(
+        layer, make_operator(operator, make_unit()),
+        engine="vectorized",
+    )
+    # inf - inf and inf * 0 are expected here; the scalar binary32
+    # unit would warn on them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        out_s, rep_s = scalar.forward(x, filters=filters)
+        out_v, rep_v = vectorized.forward(x, filters=filters)
     context = (
-        f"{operator} {in_channels}->{out_channels} k{kernel} s{stride} "
-        f"p{padding} n{n} filters={filters}"
+        f"{operator} unit{unit_index} {in_channels}->{out_channels} "
+        f"k{kernel} s{stride} p{padding} n{n} filters={filters}"
     )
     assert_arrays_bitwise_equal(out_v, out_s, context)
     assert_reports_equal(rep_v, rep_s, context)

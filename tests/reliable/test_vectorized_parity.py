@@ -12,6 +12,8 @@ checks the stochastic-injection and fallback behaviours separately.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.nn import Conv2D
 from repro.reliable.errors import PersistentFailureError
 from repro.reliable.execution_unit import (
     Float32ExecutionUnit,
+    Float64ArrayUnit,
     PerfectExecutionUnit,
     as_array_unit,
 )
@@ -32,6 +35,7 @@ from repro.reliable.operators import (
 )
 from repro.reliable.vectorized import (
     can_speculate,
+    is_deterministic,
     speculation_is_exact,
 )
 
@@ -195,6 +199,90 @@ class TestStochasticInjection:
         executor = ReliableConv2D(conv, operator, engine="vectorized")
         with pytest.raises(PersistentFailureError):
             executor.forward(batch)
+
+
+class FlakyArrayUnit(Float64ArrayUnit):
+    """Inherits binary64 arithmetic but corrupts the first product it
+    computes -- a fault-injecting subclass that must not inherit the
+    parent's one-pass shortcut."""
+
+    def __init__(self):
+        self.multiplies = 0
+
+    def multiply(self, a, b, out=None):
+        result = super().multiply(a, b, out=out)
+        self.multiplies += 1
+        if self.multiplies == 1:
+            result.flat[0] += 1.0
+        return result
+
+
+class FlakyUnit(PerfectExecutionUnit):
+    """Clean scalar arithmetic whose array form is :class:`FlakyArrayUnit`
+    (the :func:`as_array_unit` hook)."""
+
+    def __init__(self):
+        self.array_unit = FlakyArrayUnit()
+
+    def as_array_unit(self):
+        return self.array_unit
+
+
+class TestRedundancyCannotBeInherited:
+    """Determinism is decided by exact type: a subclass of a
+    deterministic unit keeps every redundant pass."""
+
+    def test_subclass_is_not_deterministic(self):
+        assert is_deterministic(Float64ArrayUnit())
+        assert not is_deterministic(FlakyArrayUnit())
+        assert not speculation_is_exact(RedundantOperator(FlakyUnit()))
+
+    def test_dmr_detects_and_repairs_flaky_subclass(self, conv, batch):
+        unit = FlakyUnit()
+        out, report = ReliableConv2D(
+            conv, RedundantOperator(unit), engine="vectorized"
+        ).forward(batch)
+        clean, _ = ReliableConv2D(
+            conv, "dmr", engine="vectorized"
+        ).forward(batch)
+        # Both DMR passes ran, so the corrupted product was caught.
+        assert unit.array_unit.multiplies == 2 * conv.weight.value[0].size
+        assert report.errors_detected == 1
+        assert report.rollbacks == 1
+        assert out.tobytes() == clean.tobytes()
+
+
+def test_transient_vectorized_golden():
+    """Golden pin recorded before the speculative pass stopped copying
+    im2col patches: a seeded transient-fault DMR forward through the
+    vectorized engine.  The unit must see identical arrays in the same
+    order, so the fault draws land on the same elements and outputs
+    and counters replay bit for bit."""
+    rng = np.random.default_rng(2024)
+    layer = Conv2D(3, 4, 5, stride=1, padding=2, rng=rng, name="golden")
+    x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
+    operator = RedundantOperator(
+        FaultyExecutionUnit(TransientFault(1e-4, np.random.default_rng(11)))
+    )
+    out, report = ReliableConv2D(
+        layer, operator, engine="vectorized", on_persistent_failure="mark"
+    ).forward(x, filters=[0, 2])
+    counters = [
+        (r.operations, r.errors_detected, r.rollbacks,
+         r.persistent_failures,
+         [tuple(int(v) for v in p) for p in r.failed_outputs])
+        for r in [report, *report.per_image]
+    ]
+    assert counters == [
+        (86994, 18, 18, 0, []),
+        (43494, 6, 6, 0, []),
+        (43500, 12, 12, 0, []),
+    ]
+    digest = hashlib.sha256(out.tobytes())
+    digest.update(repr(counters).encode())
+    assert digest.hexdigest() == (
+        "edbbde6d9b780c34a497150922fe258ba4240a1e88c6ad73abeabbc9ac6c1d33"
+    )
 
 
 class TestScalarFallback:
