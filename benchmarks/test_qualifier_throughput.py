@@ -111,9 +111,9 @@ def _timed(fn, repeats: int = 3):
 
 
 def test_batched_qualifier_speedup_and_parity(images):
-    batched = ShapeQualifier(engine="batched")
-    scalar = ShapeQualifier(engine="scalar")
-    seed = SeedDistanceQualifier(engine="scalar")
+    batched = ShapeQualifier()
+    scalar = ShapeQualifier()
+    seed = SeedDistanceQualifier()
 
     # Warm all paths (template caches, allocators) outside timing.
     batched.check_batch(images[:4])

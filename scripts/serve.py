@@ -61,9 +61,6 @@ def build_args() -> argparse.ArgumentParser:
     parser.add_argument("--image-size", type=int, default=32)
     parser.add_argument("--architecture", default="parallel",
                         choices=["parallel", "integrated"])
-    parser.add_argument("--engine", default="auto",
-                        choices=["auto", "batched", "scalar"],
-                        help="qualifier engine policy (default auto)")
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--queue-capacity", type=int, default=256)
@@ -99,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = build_pipeline(
         PipelineConfig(
             architecture=args.architecture,
-            qualifier=QualifierConfig(redundant=True, engine=args.engine),
+            qualifier=QualifierConfig(redundant=True),
             pin_sobel=args.architecture == "integrated",
             name="serve-demo",
         ),

@@ -16,11 +16,10 @@ Three layers:
   :class:`PartitionConfig`) -- validated, JSON-round-trippable
   descriptions of a pipeline's wiring.
 * **Registries** (:data:`ARCHITECTURES`, :data:`QUALIFIERS`,
-  :data:`OPERATORS`, :data:`ENGINES`, :data:`BASELINES`) --
-  string-keyed builder maps with a ``register()`` decorator, so new
-  architectures, qualifiers, redundancy operators, reliable-execution
-  engines and protection baselines plug in without touching
-  ``repro.core``.
+  :data:`OPERATORS`, :data:`BASELINES`) -- string-keyed builder maps
+  with a ``register()`` decorator, so new architectures, qualifiers,
+  redundancy operators and protection baselines plug in without
+  touching ``repro.core``.
 * **Facade** (:class:`HybridPipeline` via :func:`build_pipeline`) --
   ``infer`` / ``infer_batch`` / ``infer_stream`` over any registered
   architecture, returning :class:`~repro.core.hybrid.HybridResult`
@@ -49,7 +48,6 @@ from repro.api.registry import (
     ARCHITECTURES,
     BASELINES,
     CAMPAIGN_TARGETS,
-    ENGINES,
     OPERATORS,
     QUALIFIERS,
     Registry,
@@ -83,7 +81,6 @@ __all__ = [
     "ARCHITECTURES",
     "QUALIFIERS",
     "OPERATORS",
-    "ENGINES",
     "BASELINES",
     "CAMPAIGN_TARGETS",
     "BatchResult",

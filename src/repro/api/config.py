@@ -57,10 +57,6 @@ class QualifierConfig:
     ``kind`` selects a builder from :data:`repro.api.QUALIFIERS`
     (``"shape"`` is the built-in SAX octagon detector); the remaining
     fields mirror :class:`repro.core.qualifier.ShapeQualifier`.
-    ``engine`` selects the batched-qualification strategy (``"auto"``
-    runs the vectorized engine of :mod:`repro.core.qualifier_batch`
-    exactly when it is provably bit-identical to per-image scalar
-    calls, mirroring :class:`PartitionConfig.engine`).
     """
 
     kind: str = "shape"
@@ -71,7 +67,6 @@ class QualifierConfig:
     redundant: bool = True
     edge_threshold: float | None = None
     n_samples: int = 128
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.kind:
@@ -86,16 +81,6 @@ class QualifierConfig:
             raise ValueError(
                 "n_samples must be at least word_length "
                 f"({self.n_samples} < {self.word_length})"
-            )
-        # Late import: repro.core.qualifier depends on repro.sax only,
-        # but keeping the canonical engine list there avoids a second
-        # source of truth.
-        from repro.core.qualifier import QUALIFIER_ENGINES
-
-        if self.engine not in QUALIFIER_ENGINES:
-            raise ValueError(
-                f"unknown qualifier engine {self.engine!r}; "
-                f"choose one of {QUALIFIER_ENGINES}"
             )
 
     def to_dict(self) -> dict:
@@ -115,10 +100,10 @@ class PartitionConfig:
     -- same defaults (Sobel-x/-y of ``conv1`` under DMR with the
     ``"auto"`` execution engine), same validation, plus dict
     round-tripping.  :meth:`to_partition` produces the core object.
-    ``engine`` selects the reliable-execution strategy by
-    ``repro.api.ENGINES`` key (``"auto"`` picks the vectorized
-    speculate-then-verify engine whenever its result is provably
-    bit-identical to the scalar Algorithm 3 loop).
+    ``engine`` selects the reliable-execution strategy, one of
+    :data:`~repro.reliable.executor.RELIABLE_ENGINES` (``"auto"``
+    picks the vectorized speculate-then-verify engine whenever its
+    result is provably bit-identical to the scalar Algorithm 3 loop).
     """
 
     reliable_filters: dict[str, tuple[int, ...]] = field(

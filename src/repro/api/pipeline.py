@@ -59,7 +59,6 @@ def _build_shape_qualifier(config: QualifierConfig) -> ShapeQualifier:
         redundant=config.redundant,
         edge_threshold=config.edge_threshold,
         n_samples=config.n_samples,
-        engine=config.engine,
     )
 
 

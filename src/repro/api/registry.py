@@ -103,48 +103,44 @@ ARCHITECTURES = Registry("architecture")
 QUALIFIERS = Registry("qualifier")
 
 
-class _TableView(Registry):
-    """Live registry *view* over an external factory table.
-
-    Some axes keep their single source of truth in ``repro.reliable``
-    (operators behind :func:`repro.reliable.operators.make_operator`,
-    engines behind :func:`repro.reliable.executor.engine_fn`); these
-    views delegate every read and funnel registration into that table,
-    so either entry point sees the other's registrations.  Subclasses
-    supply the three delegates; the table functions raise
-    ``ValueError`` on unknown/duplicate names, translated here to
+class _OperatorRegistry(Registry):
+    """Live registry *view* over the operator factory table behind
+    :func:`repro.reliable.operators.make_operator`, the single source
+    of truth for redundancy operators: every read delegates to the
+    table and registration funnels into it, so a kind registered
+    through either entry point is reachable from every kind-string
+    surface -- ``build_operator``, ``ReliableConv2D(operator="<kind>")``
+    and ``PartitionConfig(redundancy="<kind>")``.  The table raises
+    ``ValueError`` on unknown/duplicate kinds, translated here to
     :class:`RegistryError`.
     """
 
-    def _table_register(self, name: str, obj, overwrite: bool):
-        raise NotImplementedError
-
-    def _table_get(self, name: str):
-        raise NotImplementedError
-
-    def _table_names(self) -> list[str]:
-        raise NotImplementedError
-
     def register(self, name, builder=None, *, overwrite=False):
-        def decorate(obj):
+        from repro.reliable.operators import register_operator
+
+        def decorate(cls):
             try:
-                self._table_register(name, obj, overwrite)
+                register_operator(name, cls, overwrite=overwrite)
             except ValueError as error:
                 raise RegistryError(str(error)) from None
-            return obj
+            return cls
 
         if builder is None:
             return decorate
         return decorate(builder)
 
     def get(self, name: str):
+        from repro.reliable.operators import _operator_class
+
         try:
-            return self._table_get(name)
+            return _operator_class(name)
         except ValueError as error:
             raise RegistryError(str(error)) from None
 
     def names(self) -> list[str]:
-        return self._table_names()
+        from repro.reliable.operators import operator_kinds
+
+        return operator_kinds()
 
     def __contains__(self, name: object) -> bool:
         return name in self.names()
@@ -156,62 +152,10 @@ class _TableView(Registry):
         return len(self.names())
 
 
-class _OperatorRegistry(_TableView):
-    """View over the operator factory table: a kind registered through
-    either entry point is reachable from every kind-string surface --
-    ``build_operator``, ``ReliableConv2D(operator="<kind>")`` and
-    ``PartitionConfig(redundancy="<kind>")``."""
-
-    def _table_register(self, name, cls, overwrite):
-        from repro.reliable.operators import register_operator
-
-        register_operator(name, cls, overwrite=overwrite)
-
-    def _table_get(self, name):
-        from repro.reliable.operators import _operator_class
-
-        return _operator_class(name)
-
-    def _table_names(self):
-        from repro.reliable.operators import operator_kinds
-
-        return operator_kinds()
-
-
 #: Redundancy operators: ``builder(unit=None) -> Operator``.  Seeded
-#: from :mod:`repro.reliable.operators` below; additions propagate
-#: back to that module's factory table.
+#: from :mod:`repro.reliable.operators`; additions propagate back to
+#: that module's factory table.
 OPERATORS = _OperatorRegistry("operator")
-
-
-class _EngineRegistry(_TableView):
-    """View over the reliable-execution engine table: an engine
-    registered through either entry point is selectable via
-    ``ReliableConv2D(engine="<name>")`` and
-    ``PartitionConfig(engine="<name>")``.  ``"auto"`` is the selection
-    policy, not a table entry."""
-
-    def _table_register(self, name, fn, overwrite):
-        from repro.reliable.executor import register_engine
-
-        register_engine(name, fn, overwrite=overwrite)
-
-    def _table_get(self, name):
-        from repro.reliable.executor import engine_fn
-
-        return engine_fn(name)
-
-    def _table_names(self):
-        from repro.reliable.executor import engine_names
-
-        return engine_names()
-
-
-#: Reliable-execution engines: ``engine(executor, x, filters) ->
-#: (output, report)``.  Built-ins: ``"scalar"`` (paper-literal
-#: Algorithm 3 loop) and ``"vectorized"`` (speculate-then-verify,
-#: :mod:`repro.reliable.vectorized`).
-ENGINES = _EngineRegistry("engine")
 
 #: Protection baselines the paper compares against:
 #: ``builder(model, **kwargs) -> guard``.

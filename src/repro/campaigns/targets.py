@@ -49,16 +49,16 @@ from repro.campaigns.report import TrialRecord
 from repro.reliable.checkpoint import CheckpointedSegment, RollbackPolicy
 from repro.reliable.convolution import ConvolutionStats, reliable_convolution
 from repro.reliable.errors import PersistentFailureError
+from repro.reliable.executor import resolve_engine
 from repro.reliable.leaky_bucket import LeakyBucket
 from repro.reliable.operators import RedundantOperator, make_operator
-from repro.reliable.vectorized import (
-    speculation_is_exact,
-    vectorized_reliable_convolution,
-)
+from repro.reliable.vectorized import vectorized_reliable_convolution
 
 
 def _element_runner(engine: str, operator):
-    """Resolve a cell's ``engine`` parameter for element targets.
+    """The element kernel for a cell's ``engine`` parameter, resolved
+    by the reliable conv's engine policy
+    (:func:`repro.reliable.executor.resolve_engine`).
 
     ``"scalar"`` is the per-operation Algorithm 3 loop (the historical
     campaign arithmetic, with its per-op fault stream);
@@ -72,16 +72,9 @@ def _element_runner(engine: str, operator):
     results (and the hybrid-fault-study golden pin) are stable unless
     a cell opts in.
     """
-    if engine == "vectorized" or (
-        engine == "auto" and speculation_is_exact(operator)
-    ):
+    if resolve_engine(engine, operator) == "vectorized":
         return vectorized_reliable_convolution
-    if engine in ("auto", "scalar"):
-        return reliable_convolution
-    raise ValueError(
-        f"unknown engine parameter {engine!r}; "
-        "choose 'auto', 'scalar' or 'vectorized'"
-    )
+    return reliable_convolution
 
 
 @dataclass(frozen=True)
@@ -260,12 +253,6 @@ def _pipeline_fixture(ctx: TrialContext):
     input_size = ctx.param("input_size", 96)
     class_index = ctx.param("class_index", 0)
     rotation_deg = ctx.param("rotation_deg", 5.0)
-    # Batched-qualification strategy for the dependable path.  The
-    # target infers one image per trial either way, and the "auto"
-    # default is batched only when provably bit-identical, so
-    # historical records and the golden pin are unchanged; campaigns
-    # driving batched serving scenarios can pin "batched"/"scalar".
-    qualifier_engine = ctx.param("qualifier_engine", "auto")
     key = (ctx.spec.seed, input_size, class_index, rotation_deg)
     if key not in _MODEL_CACHE:
         model = pinned_stop_model(
@@ -277,13 +264,10 @@ def _pipeline_fixture(ctx: TrialContext):
         )
         _MODEL_CACHE[key] = (model, image)
     model, image = _MODEL_CACHE[key]
-    from repro.api import QualifierConfig
-
     config = PipelineConfig(
         architecture="integrated",
         safety_class=STOP_CLASS_INDEX,
         name=ctx.spec.name,
-        qualifier=QualifierConfig(engine=qualifier_engine),
     )
     return key, model, config, image
 

@@ -17,7 +17,6 @@
 """
 
 from repro.core.qualifier import (
-    QUALIFIER_ENGINES,
     QualifierVerdict,
     ShapeQualifier,
     octagon_template_word,
@@ -47,7 +46,6 @@ from repro.core.guarantee import (
 __all__ = [
     "ShapeQualifier",
     "QualifierVerdict",
-    "QUALIFIER_ENGINES",
     "batched_check",
     "batched_check_feature_map",
     "batched_is_exact",

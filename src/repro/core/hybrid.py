@@ -59,30 +59,6 @@ def _batch_invariant_inference(model: Sequential):
             layer.batch_invariant = value
 
 
-def _qualify_image_batch(qualifier, views: np.ndarray) -> list[QualifierVerdict]:
-    """Batched qualification with a per-image fallback.
-
-    Architectures accept any registered qualifier object; one exposing
-    ``check_batch`` (e.g. :class:`~repro.core.qualifier.ShapeQualifier`
-    with its engine policy) qualifies the whole stack in vectorized
-    passes, anything else degrades to the per-image loop.
-    """
-    check_batch = getattr(qualifier, "check_batch", None)
-    if check_batch is not None:
-        return check_batch(views)
-    return [qualifier.check(view) for view in views]
-
-
-def _qualify_feature_map_batch(
-    qualifier, feature_maps: np.ndarray
-) -> list[QualifierVerdict]:
-    """Batched feature-map qualification with a per-image fallback."""
-    check_batch = getattr(qualifier, "check_feature_map_batch", None)
-    if check_batch is not None:
-        return check_batch(feature_maps)
-    return [qualifier.check_feature_map(fm) for fm in feature_maps]
-
-
 class Decision(enum.Enum):
     """Final verdict of the reliable-result block."""
 
@@ -218,23 +194,11 @@ class ParallelHybridCNN:
         ``qualifier_view`` optionally gives the qualifier a different
         rendering of the same scene (e.g. the CNN at its 32px training
         resolution, the shape detector at 128px); by default the
-        qualifier sees ``image`` itself.
+        qualifier sees ``image`` itself.  A batch of one through
+        :meth:`infer_batch`, the architecture's single inference path.
         """
-        # Cast exactly like infer_batch so single and batched calls
-        # feed the qualifier identical pixels (the model casts to
-        # float32 internally either way).
-        image = np.asarray(image, dtype=np.float32)
-        with _batch_invariant_inference(self.model):
-            logits = self.model.forward(image[None])
-        probabilities = softmax(logits)[0]
-        verdict = self.qualifier.check(
-            image if qualifier_view is None
-            else np.asarray(qualifier_view, dtype=np.float32)
-        )
-        predicted, decision = self.result_block.combine(
-            probabilities, verdict
-        )
-        return HybridResult(probabilities, predicted, verdict, decision)
+        views = None if qualifier_view is None else [qualifier_view]
+        return self.infer_batch(np.asarray(image)[None], views)[0]
 
     def infer_batch(
         self,
@@ -249,12 +213,12 @@ class ParallelHybridCNN:
         :meth:`ShapeQualifier.check_batch` -- whole-batch edge maps,
         array labelling and one SAX/MINDIST pass under the batched
         engine (:mod:`repro.core.qualifier_batch`).  Probabilities,
-        verdicts and decisions are bitwise identical to n
-        :meth:`infer` calls: every layer's batched arithmetic is
-        per-sample shape-stable (see
+        verdicts and decisions are bitwise independent of batch
+        composition, so equal to n :meth:`infer` calls: every layer's
+        batched arithmetic is per-sample shape-stable (see
         :class:`repro.nn.layers.dense.Dense`) and the qualifier
-        engine's ``"auto"`` policy vectorizes only when provably
-        bit-identical.
+        vectorizes only when provably bit-identical to its scalar
+        :meth:`ShapeQualifier.check`.
         """
         images = np.asarray(images, dtype=np.float32)
         if qualifier_views is not None and len(qualifier_views) != len(
@@ -270,23 +234,23 @@ class ParallelHybridCNN:
             logits = self.model.forward(images)
         probabilities = softmax(logits)
         if qualifier_views is None:
-            verdicts = _qualify_image_batch(self.qualifier, images)
+            verdicts = self.qualifier.check_batch(images)
         else:
             try:
                 views = np.asarray(qualifier_views, dtype=np.float32)
             except ValueError:
                 # Ragged views (one resolution per scene) cannot stack;
-                # qualify per image exactly as n infer() calls would.
+                # qualify each as the batch of one infer() runs.
                 views = None
             if views is None:
                 verdicts = [
-                    self.qualifier.check(
-                        np.asarray(view, dtype=np.float32)
-                    )
+                    self.qualifier.check_batch(
+                        np.asarray(view, dtype=np.float32)[None]
+                    )[0]
                     for view in qualifier_views
                 ]
             else:
-                verdicts = _qualify_image_batch(self.qualifier, views)
+                verdicts = self.qualifier.check_batch(views)
         results = []
         for i in range(len(images)):
             predicted, decision = self.result_block.combine(
@@ -363,9 +327,9 @@ class IntegratedHybridCNN:
 
         The shared prefix, the reliable partition
         (:class:`~repro.reliable.executor.ReliableConv2D` is already
-        batch-aware) and the non-reliable remainder each run once on
-        the whole batch; only the per-shape qualifier stays a
-        per-image loop.  Probabilities and decisions are bitwise
+        batch-aware), the non-reliable remainder and the feature-map
+        qualifier each run once on the whole batch.  Probabilities and
+        decisions are bitwise
         identical to n :meth:`infer` calls; the reliable executor
         allocates its leaky bucket per image, so even abort points
         match single-image inference.  Each result's
@@ -374,8 +338,6 @@ class IntegratedHybridCNN:
         (``report.per_image``), equivalent counter-for-counter to the
         report the same image would get from :meth:`infer` --
         ``elapsed_seconds`` aside, which repeats the batch wall time.
-        A custom engine that does not populate ``per_image`` degrades
-        to attaching the aggregate report to every result.
         """
         return self._infer_stack(np.asarray(images, dtype=np.float32))
 
@@ -411,18 +373,12 @@ class IntegratedHybridCNN:
         if alive:
             stacked = features[np.ix_(alive, reliable_filters)]
             for i, verdict in zip(
-                alive, _qualify_feature_map_batch(self.qualifier, stacked)
+                alive, self.qualifier.check_feature_map_batch(stacked)
             ):
                 verdicts[i] = verdict
         # Per-image report attribution: each result carries its own
         # slice of the batched execution, so batch and serial paths
-        # report equivalently.  Engines that leave per_image empty
-        # (custom registrations) fall back to the aggregate.
-        per_image = (
-            report.per_image
-            if len(report.per_image) == len(features)
-            else None
-        )
+        # report equivalently.
         results = []
         for i in range(len(features)):
             predicted, decision = self.result_block.combine(
@@ -430,8 +386,6 @@ class IntegratedHybridCNN:
             )
             results.append(HybridResult(
                 probabilities[i], predicted, verdicts[i], decision,
-                reliable_report=(
-                    per_image[i] if per_image is not None else report
-                ),
+                reliable_report=report.per_image[i],
             ))
         return results

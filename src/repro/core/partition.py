@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
+from repro.reliable.executor import RELIABLE_ENGINES
 from repro.reliable.operators import operator_kinds, operator_multiplier
 
 
@@ -42,13 +43,11 @@ class HybridPartition:
         :func:`repro.reliable.operators.register_operator` (e.g. via
         the ``repro.api.OPERATORS`` registry).
     engine:
-        Execution engine for the reliable portion: ``"auto"``
+        Execution engine for the reliable portion, one of
+        :data:`~repro.reliable.executor.RELIABLE_ENGINES`: ``"auto"``
         (default; the speculate-then-verify vectorized engine exactly
         when its result is provably bit-identical, the scalar
-        Algorithm 3 loop otherwise), ``"scalar"``, ``"vectorized"``,
-        or any engine registered with
-        :func:`repro.reliable.executor.register_engine` (e.g. via the
-        ``repro.api.ENGINES`` registry).
+        Algorithm 3 loop otherwise), ``"scalar"`` or ``"vectorized"``.
     """
 
     reliable_filters: dict[str, tuple[int, ...]] = field(
@@ -59,12 +58,10 @@ class HybridPartition:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.reliable.executor import engine_names
-
-        if self.engine != "auto" and self.engine not in engine_names():
+        if self.engine not in RELIABLE_ENGINES:
             raise ValueError(
-                f"engine must be 'auto' or a registered engine "
-                f"({engine_names()}), got {self.engine!r}"
+                f"engine must be one of {RELIABLE_ENGINES}, "
+                f"got {self.engine!r}"
             )
         if self.bifurcation_layer not in self.reliable_filters:
             raise ValueError(

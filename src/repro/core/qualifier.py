@@ -40,13 +40,6 @@ from repro.vision.series import centroid_distance_series
 #: 16 samples per corner period).
 SERIES_SAMPLES = 128
 
-#: Execution strategies for batched qualification.  ``"auto"`` uses
-#: the batched engine (:mod:`repro.core.qualifier_batch`) exactly when
-#: it is provably bit-identical to per-image scalar calls, mirroring
-#: the :class:`~repro.reliable.executor.ReliableConv2D` engine policy;
-#: ``"batched"`` forces it, ``"scalar"`` pins the per-image loop.
-QUALIFIER_ENGINES = ("auto", "batched", "scalar")
-
 
 def _polygon_series(sides: int, n_samples: int = SERIES_SAMPLES
                     ) -> np.ndarray:
@@ -219,16 +212,17 @@ class ShapeQualifier:
     edge_threshold:
         Optional fixed edge-map threshold forwarded to
         :func:`repro.vision.edges.edge_map`.
-    engine:
-        Batched-qualification strategy for :meth:`check_batch` /
-        :meth:`check_feature_map_batch` (one of
-        :data:`QUALIFIER_ENGINES`).  ``"auto"`` (default) runs the
-        vectorized engine of :mod:`repro.core.qualifier_batch` exactly
-        when its verdicts are provably bitwise identical to per-image
-        scalar calls, and the scalar loop otherwise -- the same policy
-        :class:`~repro.reliable.executor.ReliableConv2D` applies to
-        its arithmetic engines.  Single-image :meth:`check` is always
-        the scalar pipeline.
+
+    :meth:`check` and :meth:`check_feature_map` are the scalar
+    pipeline: the paper-faithful reference, and the rollback repair
+    path of the batched forms.  :meth:`check_batch` and
+    :meth:`check_feature_map_batch` -- the path both hybrids infer
+    through -- run the vectorized engine of
+    :mod:`repro.core.qualifier_batch` exactly when its verdicts are
+    provably bitwise identical to the scalar calls
+    (:func:`~repro.core.qualifier_batch.batched_is_exact`), and the
+    per-image loop otherwise.  There is no knob: the exactness check
+    is the whole policy.
     """
 
     def __init__(
@@ -240,22 +234,15 @@ class ShapeQualifier:
         redundant: bool = True,
         edge_threshold: float | None = None,
         n_samples: int = SERIES_SAMPLES,
-        engine: str = "auto",
     ) -> None:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if engine not in QUALIFIER_ENGINES:
-            raise ValueError(
-                f"unknown qualifier engine {engine!r}; "
-                f"choose one of {QUALIFIER_ENGINES}"
-            )
         self.shape = shape
         self.encoder = SaxEncoder(word_length, alphabet_size)
         self.threshold = threshold
         self.redundant = redundant
         self.edge_threshold = edge_threshold
         self.n_samples = n_samples
-        self.engine = engine
         self.templates = shape_template_words(
             shape, self.encoder, n_samples
         )
@@ -408,25 +395,16 @@ class ShapeQualifier:
                                 word=word)
 
     # -- batched API ------------------------------------------------------
-    def _use_batched_engine(self) -> bool:
-        if self.engine == "scalar":
-            return False
-        if self.engine == "batched":
-            return True
-        from repro.core.qualifier_batch import batched_is_exact
-
-        return batched_is_exact(self)
-
     def check_batch(self, images: np.ndarray) -> list[QualifierVerdict]:
         """Evaluate the qualifier over a stack of images.
 
         ``images`` is ``(n, c, h, w)`` or ``(n, h, w)`` -- axis 0 is
         always the batch.  Returns one :class:`QualifierVerdict` per
         image, equal to ``[self.check(img) for img in images]``:
-        bitwise so under the batched engine (see
+        bitwise so through the batched engine (see
         :mod:`repro.core.qualifier_batch` for the contract, including
-        the redundant-disagreement rollback), trivially so under the
-        scalar engine.
+        the redundant-disagreement rollback), trivially so through the
+        per-image loop a subclass takes.
         """
         images = np.asarray(images, dtype=np.float32)
         if images.ndim not in (3, 4):
@@ -435,10 +413,10 @@ class ShapeQualifier:
             )
         if len(images) == 0:
             return []
-        if self._use_batched_engine():
-            from repro.core.qualifier_batch import batched_check
+        from repro.core import qualifier_batch
 
-            return batched_check(self, images)
+        if qualifier_batch.batched_is_exact(self):
+            return qualifier_batch.batched_check(self, images)
         return [self.check(image) for image in images]
 
     def check_feature_map_batch(
@@ -456,8 +434,10 @@ class ShapeQualifier:
             )
         if len(feature_maps) == 0:
             return []
-        if self._use_batched_engine():
-            from repro.core.qualifier_batch import batched_check_feature_map
+        from repro.core import qualifier_batch
 
-            return batched_check_feature_map(self, feature_maps)
+        if qualifier_batch.batched_is_exact(self):
+            return qualifier_batch.batched_check_feature_map(
+                self, feature_maps
+            )
         return [self.check_feature_map(fm) for fm in feature_maps]

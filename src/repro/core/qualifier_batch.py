@@ -40,8 +40,9 @@ Equivalence contract
 --------------------
 For an unmodified :class:`~repro.core.qualifier.ShapeQualifier` with a
 stock :class:`~repro.sax.sax.SaxEncoder` (the condition
-:func:`batched_is_exact` checks and the ``"auto"`` engine policy
-requires), every stage is bitwise identical to the scalar pipeline per
+:func:`batched_is_exact` checks before
+:meth:`~repro.core.qualifier.ShapeQualifier.check_batch` takes this
+engine), every stage is bitwise identical to the scalar pipeline per
 image: the batched frontend reduces the same contiguous windows
 through the same kernels, the array labeller provably reproduces the
 BFS component numbering, the lockstep Moore trace replays the scalar
@@ -51,8 +52,7 @@ batched SAX/MINDIST forms reduce the same contiguous rows (see
 ``tests/core/test_qualifier_batch.py`` and the randomized differential
 harness in ``tests/support/fuzz.py``).  Subclassed qualifiers or
 encoders may override per-image hooks the batched pipeline would
-bypass, so ``"auto"`` falls back to the scalar loop for them;
-``engine="batched"`` forces this engine regardless.
+bypass, so they take the per-image loop instead.
 """
 
 from __future__ import annotations

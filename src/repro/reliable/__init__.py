@@ -78,9 +78,7 @@ from repro.reliable.ecc import (
 from repro.reliable.executor import (
     ExecutionReport,
     ReliableConv2D,
-    engine_names,
     redundant_layer_forward,
-    register_engine,
 )
 from repro.reliable.vectorized import (
     can_speculate,
@@ -121,8 +119,6 @@ __all__ = [
     "ReliableConv2D",
     "ExecutionReport",
     "redundant_layer_forward",
-    "register_engine",
-    "engine_names",
     "speculative_forward",
     "vectorized_reliable_convolution",
     "can_speculate",

@@ -18,16 +18,11 @@ distance:
   layer runs N times vectorised and the outputs are compared/voted.
   This is the temporal-redundancy checkpoint the paper describes in
   Section II.B.
-
-Engines are registered in a factory table (:func:`register_engine`),
-mirrored by the ``repro.api.ENGINES`` registry view, so alternative
-execution strategies plug in the way operators do.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,72 +105,33 @@ class _ImageSlice:
         )
 
 
-# ---------------------------------------------------------------------------
-# Engine factory table
-# ---------------------------------------------------------------------------
-
-#: An engine executes a :class:`ReliableConv2D` forward pass:
-#: ``engine(executor, x, filters) -> (output, report)``.
-EngineFn = Callable[
-    ["ReliableConv2D", np.ndarray, "list[int] | None"],
-    "tuple[np.ndarray, ExecutionReport]",
-]
-
-_ENGINES: dict[str, EngineFn] = {}
+#: Accepted ``engine`` values of :class:`ReliableConv2D` (and of
+#: :class:`~repro.core.partition.HybridPartition`): the two engines,
+#: plus ``"auto"``, the policy that picks between them.
+RELIABLE_ENGINES = ("auto", "scalar", "vectorized")
 
 
-def register_engine(
-    name: str, fn: EngineFn, *, overwrite: bool = False
-) -> None:
-    """Add an execution engine to the factory table.
+def resolve_engine(engine: str, operator: Operator) -> str:
+    """The engine a reliable execution actually runs.
 
-    Registered names become valid for ``ReliableConv2D(engine=...)``
-    and ``PartitionConfig(engine=...)``; the ``repro.api.ENGINES``
-    registry funnels into this table.  ``"auto"`` is reserved for the
-    selection policy (pick ``"vectorized"`` exactly when its result is
-    provably bit-identical, else ``"scalar"``) and cannot be
-    registered.
+    ``"scalar"`` and ``"vectorized"`` name themselves; ``"auto"``
+    resolves to ``"vectorized"`` only when speculation is *exact* --
+    every redundant pass provably produces identical words, so
+    outputs, reports and abort points match the scalar path bit for
+    bit (:func:`repro.reliable.vectorized.speculation_is_exact`) --
+    and to ``"scalar"`` otherwise.  The one engine policy behind
+    :class:`ReliableConv2D` and the campaign element targets.
+    Unknown names raise ``ValueError``.
     """
-    if not name or not isinstance(name, str):
-        raise ValueError("engine name must be a non-empty string")
-    if name == "auto":
+    if engine not in RELIABLE_ENGINES:
         raise ValueError(
-            "'auto' is the engine-selection policy, not an engine"
+            f"unknown engine {engine!r}; choose one of {RELIABLE_ENGINES}"
         )
-    if name in _ENGINES and not overwrite:
-        raise ValueError(
-            f"engine {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    if not callable(fn):
-        raise ValueError("engine must be callable")
-    _ENGINES[name] = fn
+    if engine != "auto":
+        return engine
+    from repro.reliable.vectorized import speculation_is_exact
 
-
-def engine_names() -> list[str]:
-    """All registered engine names."""
-    _ensure_builtin_engines()
-    return sorted(_ENGINES)
-
-
-def _ensure_builtin_engines() -> None:
-    # The vectorized engine registers itself on import; importing it
-    # lazily here keeps executor <-> vectorized free of an import
-    # cycle while guaranteeing the table is complete whenever a name
-    # is resolved.
-    import repro.reliable.vectorized  # noqa: F401
-
-
-def engine_fn(name: str) -> EngineFn:
-    """Look up an engine; unknown names list the registered set."""
-    _ensure_builtin_engines()
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; choose 'auto' or one of "
-            f"{sorted(_ENGINES)}"
-        ) from None
+    return "vectorized" if speculation_is_exact(operator) else "scalar"
 
 
 class ReliableConv2D:
@@ -237,8 +193,7 @@ class ReliableConv2D:
         self.bucket_factor = bucket_factor
         self.bucket_ceiling = bucket_ceiling
         self.on_persistent_failure = on_persistent_failure
-        if engine != "auto":
-            engine_fn(engine)  # validate eagerly: unknown names raise
+        resolve_engine(engine, self.operator)  # unknown names raise
         self.engine = engine
 
     def forward(
@@ -261,25 +216,16 @@ class ReliableConv2D:
         (output, report):
             ``output`` matches the layer's native forward shape.
         """
-        return engine_fn(self._resolve_engine())(self, x, filters)
+        if self._resolve_engine() == "vectorized":
+            from repro.reliable.vectorized import speculative_forward
+
+            return speculative_forward(self, x, filters)
+        return self._forward_scalar(x, filters)
 
     def _resolve_engine(self) -> str:
-        """The engine this forward pass actually runs.
-
-        ``"auto"`` resolves to ``"vectorized"`` only when speculation
-        is *exact* -- every redundant pass provably produces identical
-        words, so outputs, reports and abort points match the scalar
-        path bit for bit (see
-        :func:`repro.reliable.vectorized.speculation_is_exact`).
-        """
-        if self.engine != "auto":
-            return self.engine
-        from repro.reliable.vectorized import speculation_is_exact
-
-        return (
-            "vectorized" if speculation_is_exact(self.operator)
-            else "scalar"
-        )
+        """The engine this forward pass actually runs
+        (:func:`resolve_engine`)."""
+        return resolve_engine(self.engine, self.operator)
 
     def _prepare(
         self, x: np.ndarray, filters: list[int] | None
@@ -386,15 +332,6 @@ class ReliableConv2D:
         # attribution sub-report repeats the aggregate wall time.
         for sub in report.per_image:
             sub.elapsed_seconds = report.elapsed_seconds
-
-
-def _scalar_engine(
-    executor: ReliableConv2D, x: np.ndarray, filters: list[int] | None
-) -> tuple[np.ndarray, ExecutionReport]:
-    return executor._forward_scalar(x, filters)
-
-
-register_engine("scalar", _scalar_engine)
 
 
 def redundant_layer_forward(

@@ -87,7 +87,6 @@ from repro.reliable.executor import (
     ExecutionReport,
     ReliableConv2D,
     _ImageSlice,
-    register_engine,
 )
 from repro.reliable.leaky_bucket import LeakyBucket
 from repro.reliable.operators import (
@@ -483,6 +482,3 @@ def vectorized_reliable_convolution(
     return reliable_convolution(
         patch, weights, bias, operator, bucket=bucket, stats=stats
     )
-
-
-register_engine("vectorized", speculative_forward)

@@ -22,6 +22,7 @@ from repro.reliable.executor import ReliableConv2D
 from repro.reliable.operators import RedundantOperator
 from repro.reliable.qualified import QualifiedValue
 from tests.support.fuzz import assert_reports_equal
+from tests.support.oracles import parallel_infer_reference
 
 
 def assert_bitwise_parity(batch, singles, reports=False):
@@ -59,6 +60,10 @@ def images():
 
 
 class TestParallelParity:
+    """``infer`` is ``infer_batch`` of one, so each test also holds
+    the single-image results to the scalar oracle
+    (:func:`tests.support.oracles.parallel_infer_reference`)."""
+
     def test_batch_matches_singles(self, images):
         pipeline = build_pipeline(
             PipelineConfig(architecture="parallel"),
@@ -67,6 +72,10 @@ class TestParallelParity:
         batch = pipeline.infer_batch(images)
         singles = [pipeline.infer(image) for image in images]
         assert_bitwise_parity(batch, singles)
+        assert_bitwise_parity(singles, [
+            parallel_infer_reference(pipeline.hybrid, image)
+            for image in images
+        ])
 
     def test_batch_matches_singles_with_views(self, images):
         pipeline = build_pipeline(
@@ -83,6 +92,10 @@ class TestParallelParity:
             for image, view in zip(images, views)
         ]
         assert_bitwise_parity(batch, singles)
+        assert_bitwise_parity(singles, [
+            parallel_infer_reference(pipeline.hybrid, image, view)
+            for image, view in zip(images, views)
+        ])
 
     def test_parity_under_weight_corruption(self, images, rng):
         """Exponent-bit flips drive activations to extreme values
@@ -96,7 +109,12 @@ class TestParallelParity:
         with np.errstate(over="ignore", invalid="ignore"):
             batch = pipeline.infer_batch(images)
             singles = [pipeline.infer(image) for image in images]
+            reference = [
+                parallel_infer_reference(pipeline.hybrid, image)
+                for image in images
+            ]
         assert_bitwise_parity(batch, singles)
+        assert_bitwise_parity(singles, reference)
 
 
 class TestIntegratedParity:

@@ -22,8 +22,7 @@ from tests.support.fuzz import (
 )
 
 
-def _random_qualifier(rng: np.random.Generator, engine: str
-                      ) -> ShapeQualifier:
+def _random_qualifier(rng: np.random.Generator) -> ShapeQualifier:
     """A qualifier with fuzzed construction parameters (kept within
     the template-generating envelope)."""
     shape = str(rng.choice(["octagon", "triangle", "square", "circle"]))
@@ -35,14 +34,13 @@ def _random_qualifier(rng: np.random.Generator, engine: str
         threshold=float(rng.uniform(1.0, 5.0)),
         redundant=bool(rng.random() < 0.5),
         n_samples=128,
-        engine=engine,
     )
 
 
 @pytest.mark.parametrize("rng", differential_cases(10))
 def test_check_batch_matches_scalar_loop(rng):
     images = random_image_batch(rng)
-    batched = _random_qualifier(rng, engine="batched")
+    batched = _random_qualifier(rng)
     scalar = ShapeQualifier(
         shape=batched.shape,
         word_length=batched.encoder.word_length,
@@ -50,7 +48,6 @@ def test_check_batch_matches_scalar_loop(rng):
         threshold=batched.threshold,
         redundant=batched.redundant,
         n_samples=batched.n_samples,
-        engine="scalar",
     )
     got = batched.check_batch(images)
     want = [scalar.check(image) for image in images]
@@ -64,7 +61,7 @@ def test_check_batch_matches_scalar_loop(rng):
 @pytest.mark.parametrize("rng", differential_cases(6, root_seed=7202611))
 def test_check_feature_map_batch_matches_scalar_loop(rng):
     feature_maps = random_feature_map_batch(rng)
-    batched = _random_qualifier(rng, engine="batched")
+    batched = _random_qualifier(rng)
     scalar = ShapeQualifier(
         shape=batched.shape,
         word_length=batched.encoder.word_length,
@@ -72,7 +69,6 @@ def test_check_feature_map_batch_matches_scalar_loop(rng):
         threshold=batched.threshold,
         redundant=batched.redundant,
         n_samples=batched.n_samples,
-        engine="scalar",
     )
     got = batched.check_feature_map_batch(feature_maps)
     want = [scalar.check_feature_map(fm) for fm in feature_maps]
@@ -85,13 +81,12 @@ def test_check_feature_map_batch_matches_scalar_loop(rng):
 
 @pytest.mark.parametrize("rng", differential_cases(4, root_seed=555001))
 def test_auto_engine_matches_scalar_loop(rng):
-    """The default policy must carry the same guarantee end users see:
-    ``engine="auto"`` on a stock qualifier is the batched engine."""
+    """The guarantee end users see, at the default construction: a
+    stock qualifier's ``check_batch`` is the batched engine."""
     images = random_image_batch(rng)
-    auto = ShapeQualifier(engine="auto", redundant=True)
-    scalar = ShapeQualifier(engine="scalar", redundant=True)
+    qualifier = ShapeQualifier(redundant=True)
     for i, (g, w) in enumerate(zip(
-        auto.check_batch(images),
-        [scalar.check(image) for image in images],
+        qualifier.check_batch(images),
+        [qualifier.check(image) for image in images],
     )):
         assert_verdicts_bitwise_equal(g, w, context=f"image {i}")

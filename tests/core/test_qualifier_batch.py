@@ -130,11 +130,16 @@ class TestCheckBatchParity:
         ) == []
 
     def test_scalar_engine_matches(self, sign_batch):
-        batched = ShapeQualifier(engine="batched")
-        scalar = ShapeQualifier(engine="scalar")
+        """Both paths ``check_batch`` can take agree bitwise: the
+        batched engine (stock qualifier) and the per-image loop (any
+        subclass)."""
+
+        class PerImageQualifier(ShapeQualifier):
+            pass
+
         assert_verdicts_bitwise_equal(
-            batched.check_batch(sign_batch),
-            scalar.check_batch(sign_batch),
+            ShapeQualifier().check_batch(sign_batch),
+            PerImageQualifier().check_batch(sign_batch),
         )
 
 
@@ -391,9 +396,8 @@ class TestDoubledLaneProperty:
 
 
 class TestEnginePolicy:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ShapeQualifier(engine="warp-drive")
+    """One policy, no knob: the batched engine runs exactly when
+    ``batched_is_exact`` holds."""
 
     def test_auto_is_exact_for_stock_qualifier(self):
         assert qualifier_batch.batched_is_exact(ShapeQualifier())
@@ -414,22 +418,11 @@ class TestEnginePolicy:
         singles = [qualifier.check(image) for image in sign_batch[:3]]
         assert_verdicts_bitwise_equal(batch, singles)
 
-    def test_scalar_engine_pins_per_image_loop(
-        self, monkeypatch, sign_batch
-    ):
-        qualifier = ShapeQualifier(engine="scalar")
-
-        def exploding(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("batched engine must not run")
-
-        monkeypatch.setattr(qualifier_batch, "batched_check", exploding)
-        qualifier.check_batch(sign_batch[:2])
-
     def test_auto_dispatches_batched_for_feature_maps(
         self, monkeypatch, feature_batch
     ):
-        """The dispatch audit: ``engine="auto"`` must route feature
-        maps through the batched engine exactly as it routes images.
+        """The dispatch audit: the policy must route feature maps
+        through the batched engine exactly as it routes images.
         A silent per-map scalar degradation -- the integrated-hybrid
         batch regression's prime suspect -- fails here."""
         calls = {"batched": 0}
@@ -442,7 +435,7 @@ class TestEnginePolicy:
         monkeypatch.setattr(
             qualifier_batch, "batched_check_feature_map", spying
         )
-        qualifier = ShapeQualifier()  # engine="auto"
+        qualifier = ShapeQualifier()
         got = qualifier.check_feature_map_batch(feature_batch)
         assert calls["batched"] == 1
         singles = [
@@ -453,9 +446,8 @@ class TestEnginePolicy:
     def test_feature_map_dispatch_honours_scalar_pins(
         self, monkeypatch, feature_batch
     ):
-        """The same policy that degrades images to the scalar loop --
-        subclassed qualifier, or an explicit ``engine="scalar"`` --
-        degrades feature maps too (and only then)."""
+        """The same policy that degrades images of a subclassed
+        qualifier to the scalar loop degrades its feature maps too."""
 
         def exploding(*args, **kwargs):  # pragma: no cover
             raise AssertionError("batched engine must not run")
@@ -468,32 +460,58 @@ class TestEnginePolicy:
             def _distance(self, word: str) -> float:
                 return 0.0
 
-        for qualifier in (
-            TightQualifier(), ShapeQualifier(engine="scalar")
-        ):
-            qualifier.check_feature_map_batch(feature_batch[:2])
+        qualifier = TightQualifier()
+        batch = qualifier.check_feature_map_batch(feature_batch[:2])
+        assert_verdicts_bitwise_equal(batch, [
+            qualifier.check_feature_map(fm) for fm in feature_batch[:2]
+        ])
 
     def test_config_engine_reaches_qualifier(self):
+        """A built pipeline's qualifier is on the exact policy: no
+        config field can switch the batched engine off."""
         pipeline = build_pipeline(
-            PipelineConfig(
-                qualifier=QualifierConfig(engine="scalar"),
-            ),
-            small_cnn(32, 8, conv1_filters=8),
+            PipelineConfig(), small_cnn(32, 8, conv1_filters=8)
         )
-        assert pipeline.qualifier.engine == "scalar"
-        with pytest.raises(ValueError, match="engine"):
-            QualifierConfig(engine="warp-drive")
+        assert qualifier_batch.batched_is_exact(pipeline.qualifier)
+        assert not hasattr(pipeline.qualifier, "engine")
 
     def test_qualifier_config_round_trips_engine(self):
-        config = QualifierConfig(engine="batched")
-        clone = QualifierConfig.from_dict(config.to_dict())
-        assert clone == config and clone.engine == "batched"
+        """A serialized config still carrying the retired ``engine``
+        key fails loudly instead of being silently dropped."""
+        data = QualifierConfig().to_dict()
+        assert "engine" not in data
+        with pytest.raises(ValueError, match="unknown keys"):
+            QualifierConfig.from_dict({**data, "engine": "scalar"})
 
 
 class TestHybridWiring:
     """infer_batch of both architectures rides the batched engine and
     stays bitwise identical to per-image infer (the broad matrix lives
     in tests/api/test_batch_parity.py; this pins the engine wiring)."""
+
+    def test_parallel_infer_is_a_batch_of_one(self, monkeypatch, sign_batch):
+        """The parallel hybrid has one inference path: ``infer``
+        qualifies through ``check_batch``, never the scalar ``check``."""
+        calls = {"batch": 0}
+        real = ShapeQualifier.check_batch
+
+        def spying(self, images):
+            calls["batch"] += 1
+            assert len(images) == 1
+            return real(self, images)
+
+        def exploding(self, image):  # pragma: no cover
+            raise AssertionError("scalar check must not run")
+
+        pipeline = build_pipeline(
+            PipelineConfig(architecture="parallel"),
+            small_cnn(96, 8, conv1_filters=8),
+        )
+        monkeypatch.setattr(ShapeQualifier, "check_batch", spying)
+        monkeypatch.setattr(ShapeQualifier, "check", exploding)
+        pipeline.infer(sign_batch[0])
+        pipeline.infer(sign_batch[1], qualifier_view=sign_batch[2])
+        assert calls["batch"] == 2
 
     def test_parallel_uses_batched_qualifier(self, monkeypatch, sign_batch):
         calls = {"batch": 0}

@@ -15,6 +15,7 @@ from repro.api import (
     QualifierConfig,
     build_pipeline,
 )
+from repro.core.qualifier import ShapeQualifier
 from repro.data import render_sign
 from repro.models.smallcnn import small_cnn
 
@@ -32,17 +33,27 @@ def images():
     ]).astype(np.float32)
 
 
-def make_pipeline(engine: str = "auto", architecture: str = "parallel"):
+class PerImageQualifier(ShapeQualifier):
+    """A subclass, so ``check_batch`` takes the per-image loop instead
+    of the batched engine."""
+
+
+def make_pipeline(
+    architecture: str = "parallel", per_image_qualifier: bool = False
+):
     model = small_cnn(n_classes=8, input_size=IMAGE_SIZE)
-    return build_pipeline(
+    pipeline = build_pipeline(
         PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True, engine=engine),
+            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
-            name=f"serving-test-{architecture}-{engine}",
+            name=f"serving-test-{architecture}",
         ),
         model,
     )
+    if per_image_qualifier:
+        pipeline.hybrid.qualifier = PerImageQualifier(redundant=True)
+    return pipeline
 
 
 @pytest.fixture(scope="module")

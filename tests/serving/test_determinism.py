@@ -3,7 +3,7 @@
 N client threads submit in randomized interleavings; every per-request
 result must be **bitwise identical** to a serial ``pipeline.infer()``
 call on the same image -- whatever micro-batches the interleaving
-produced, under each qualifier engine policy and both architectures.
+produced, through both qualifier paths and both architectures.
 This is the guarantee the batched engines were built to provide; the
 serving layer must surface it unharmed.
 """
@@ -63,14 +63,17 @@ def _serve_concurrently(pipeline, images, seed: int, n_threads: int = 6):
         return [p.result(timeout=60) for p in pendings]
 
 
-@pytest.mark.parametrize("engine", ["auto", "batched", "scalar"])
-def test_concurrent_results_bitwise_equal_serial_infer(images, engine):
-    pipeline = make_pipeline(engine=engine)
+#: The two paths ``check_batch`` can take: ``"auto"`` -- the policy
+#: picks the batched engine for a stock qualifier -- and ``"scalar"``,
+#: the per-image loop a subclassed qualifier takes.
+@pytest.mark.parametrize("path", ["auto", "scalar"])
+def test_concurrent_results_bitwise_equal_serial_infer(images, path):
+    pipeline = make_pipeline(per_image_qualifier=path == "scalar")
     serial = [pipeline.infer(image) for image in images]
     for seed in (0, 1):
         served = _serve_concurrently(pipeline, images, seed=seed)
         for i, (got, want) in enumerate(zip(served, serial)):
-            context = f"engine={engine} seed={seed} image={i}"
+            context = f"path={path} seed={seed} image={i}"
             assert got.probabilities.tobytes() == (
                 want.probabilities.tobytes()
             ), context
