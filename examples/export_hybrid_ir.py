@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Platform-agnostic hybrid-CNN description (paper future work).
 
-Exports a configured hybrid CNN -- topology + reliability annotation
-+ qualifier spec -- to the JSON interchange format, validates it,
-saves graph + weights, reloads it into a running hybrid and shows the
-rebuilt system makes the same dependable decision.
+Exports a configured hybrid CNN -- topology + its PipelineConfig as
+the reliability annotation -- to the JSON interchange format
+(validated on export), saves graph + weights, reloads it into a
+running hybrid and shows the rebuilt system makes the same dependable
+decision.
 
 Run:  python examples/export_hybrid_ir.py
 """
@@ -17,14 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import HybridPartition, ShapeQualifier
+from repro.api import PipelineConfig
+from repro.core import HybridPartition
 from repro.data import render_sign
-from repro.hybridir import (
-    export_hybrid,
-    load_hybrid,
-    save_hybrid,
-    validate_graph,
-)
+from repro.hybridir import export_hybrid, load_hybrid, save_hybrid
 from repro.models import alexnet_scaled
 from repro.vision.filters import sobel_axis_stack
 
@@ -34,17 +31,16 @@ def main() -> None:
     conv1 = model.layer("conv1")
     conv1.set_filter(0, sobel_axis_stack("x", conv1.kernel_size, 3))
     conv1.set_filter(1, sobel_axis_stack("y", conv1.kernel_size, 3))
+    config = PipelineConfig(
+        architecture="integrated",
+        safety_class=0,
+        partition=HybridPartition(),  # the paper's conv1 Sobel pair, DMR
+    )
 
     graph = export_hybrid(
-        model,
-        HybridPartition(),
-        ShapeQualifier(),
-        safety_class=0,
-        input_shape=(3, 128, 128),
-        name="stopnet-hybrid",
+        model, config, input_shape=(3, 128, 128), name="stopnet-hybrid"
     )
-    validate_graph(graph)
-    print("validated hybrid graph "
+    print("exported and validated hybrid graph "
           f"({len(graph.layers)} nodes, schema v{graph.schema_version})")
     print("\nreliability annotation (the ONNX-extension payload):")
     print(json.dumps(graph.reliability.to_dict(), indent=2))

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Smoke check: tier-1 tests plus the quickstart example, each under a
-# timeout.  Intended as the minimal pre-merge gate:
+# Smoke check: tier-1 tests plus the quickstart, interchange-format
+# and stop-sign examples, each under a timeout.  Intended as the
+# minimal pre-merge gate:
 #
 #   scripts/smoke.sh            # ~2-3 minutes
 #   SMOKE_TEST_TIMEOUT=1200 scripts/smoke.sh
@@ -19,8 +20,10 @@ timeout "${LINT_TIMEOUT}" python -m repro.lint --project src tests benchmarks
 echo "== tier-1 tests (timeout ${TEST_TIMEOUT}s) =="
 timeout "${TEST_TIMEOUT}" python -m pytest -x -q -m "not slow"
 
-echo "== examples/quickstart.py (timeout ${EXAMPLE_TIMEOUT}s) =="
-timeout "${EXAMPLE_TIMEOUT}" python examples/quickstart.py
+for example in quickstart export_hybrid_ir stop_sign_pipeline; do
+    echo "== examples/${example}.py (timeout ${EXAMPLE_TIMEOUT}s) =="
+    timeout "${EXAMPLE_TIMEOUT}" python "examples/${example}.py"
+done
 
 echo "== serving chaos scenario (seeded, invariants gate) =="
 CHAOS_TIMEOUT="${SMOKE_CHAOS_TIMEOUT:-120}"

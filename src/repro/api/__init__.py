@@ -4,24 +4,26 @@ The canonical way to construct and run hybrid inference.  Everything
 is importable flat from this package:
 
 >>> from repro.api import (
-...     Architecture, Redundancy,
-...     PipelineConfig, QualifierConfig, PartitionConfig,
+...     Architecture, PipelineConfig, QualifierConfig,
 ...     HybridPipeline, BatchResult, build_pipeline,
-...     ARCHITECTURES, QUALIFIERS, OPERATORS, BASELINES,
+...     OPERATORS, BASELINES,
 ... )
 
-Three layers:
+The layers:
 
-* **Configs** (:class:`PipelineConfig`, :class:`QualifierConfig`,
-  :class:`PartitionConfig`) -- validated, JSON-round-trippable
-  descriptions of a pipeline's wiring.
-* **Registries** (:data:`ARCHITECTURES`, :data:`QUALIFIERS`,
-  :data:`OPERATORS`, :data:`BASELINES`) -- string-keyed builder maps
-  with a ``register()`` decorator, so new architectures, qualifiers,
-  redundancy operators and protection baselines plug in without
-  touching ``repro.core``.
+* **Configs** -- :class:`PipelineConfig` is the one validated,
+  JSON-round-trippable description of a hybrid's wiring: the
+  :class:`Architecture`, a nested :class:`QualifierConfig` and, for
+  the integrated architecture, a nested
+  :class:`~repro.core.partition.HybridPartition`.  The hybrid
+  interchange format (:mod:`repro.hybridir`) stores it as is.
+* **Registries** (:data:`OPERATORS`, :data:`BASELINES`,
+  :data:`CAMPAIGN_TARGETS`) -- string-keyed builder maps with a
+  ``register()`` decorator, so redundancy operators, protection
+  baselines and campaign targets plug in without touching the code
+  that dispatches on them.
 * **Facade** (:class:`HybridPipeline` via :func:`build_pipeline`) --
-  ``infer`` / ``infer_batch`` / ``infer_stream`` over any registered
+  ``infer`` / ``infer_batch`` / ``infer_stream`` over either
   architecture, returning :class:`~repro.core.hybrid.HybridResult`
   per image and :class:`BatchResult` aggregates per batch, with the
   batched path vectorised through
@@ -38,18 +40,14 @@ from repro.api.config import (
     DEFAULT_SAFETY_CLASS,
     Architecture,
     ChaosConfig,
-    PartitionConfig,
     PipelineConfig,
     QualifierConfig,
-    Redundancy,
     ServingConfig,
 )
 from repro.api.registry import (
-    ARCHITECTURES,
     BASELINES,
     CAMPAIGN_TARGETS,
     OPERATORS,
-    QUALIFIERS,
     Registry,
     RegistryError,
 )
@@ -69,17 +67,13 @@ from repro.serving import (
 
 __all__ = [
     "Architecture",
-    "Redundancy",
     "DEFAULT_SAFETY_CLASS",
     "PipelineConfig",
     "QualifierConfig",
-    "PartitionConfig",
     "ServingConfig",
     "ChaosConfig",
     "Registry",
     "RegistryError",
-    "ARCHITECTURES",
-    "QUALIFIERS",
     "OPERATORS",
     "BASELINES",
     "CAMPAIGN_TARGETS",

@@ -1,11 +1,13 @@
 """Declarative configuration for the hybrid pipeline.
 
-Three dataclasses describe everything :func:`repro.api.build_pipeline`
-needs beyond trained weights: which architecture, which qualifier,
-which reliable partition.  All of them validate eagerly in
-``__post_init__`` and round-trip losslessly through
-``to_dict``/``from_dict`` so a pipeline's wiring can live in JSON next
-to its weights.
+:class:`PipelineConfig` is the one serialisable description of a
+hybrid: which architecture, which qualifier (:class:`QualifierConfig`)
+and which reliable partition (:class:`~repro.core.partition.
+HybridPartition`, nested as ``partition``).  Every config validates
+eagerly in ``__post_init__`` and round-trips losslessly through
+``to_dict``/``from_dict``, so a pipeline's wiring can live in JSON
+next to its weights -- the hybrid interchange format
+(:mod:`repro.hybridir`) stores it as is.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
-from repro.core.partition import HybridPartition
+from repro.core.partition import HybridPartition, _check_no_unknown_keys
+from repro.sax.breakpoints import MAX_ALPHABET
 
 #: Index of the synthetic dataset's "Stop" sign -- the paper's
 #: safety-critical class (see :data:`repro.data.STOP_CLASS_INDEX`).
@@ -23,43 +26,17 @@ DEFAULT_SAFETY_CLASS = 0
 
 
 class Architecture(str, enum.Enum):
-    """The two hybrid shapes of the paper (Figures 1 and 2).
-
-    The enum names the built-ins; the :data:`~repro.api.ARCHITECTURES`
-    registry accepts additional keys beyond these.
-    """
+    """The two hybrid shapes of the paper (Figures 1 and 2)."""
 
     PARALLEL = "parallel"
     INTEGRATED = "integrated"
 
 
-class Redundancy(str, enum.Enum):
-    """Redundant-execution flavours of the reliable partition."""
-
-    DMR = "dmr"
-    TMR = "tmr"
-
-
-def _check_no_unknown_keys(cls, data: dict) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__}: unknown keys {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-
-
 @dataclass(frozen=True, kw_only=True)
 class QualifierConfig:
-    """How to build the dependable shape qualifier.
+    """How to build the dependable shape qualifier; the fields mirror
+    :class:`repro.core.qualifier.ShapeQualifier`."""
 
-    ``kind`` selects a builder from :data:`repro.api.QUALIFIERS`
-    (``"shape"`` is the built-in SAX octagon detector); the remaining
-    fields mirror :class:`repro.core.qualifier.ShapeQualifier`.
-    """
-
-    kind: str = "shape"
     shape: str = "octagon"
     word_length: int = 32
     alphabet_size: int = 8
@@ -69,12 +46,13 @@ class QualifierConfig:
     n_samples: int = 128
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            raise ValueError("qualifier kind must be non-empty")
         if self.word_length <= 0:
             raise ValueError("word_length must be positive")
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be at least 2")
+        if not 2 <= self.alphabet_size <= MAX_ALPHABET:
+            raise ValueError(
+                f"alphabet_size must be in [2, {MAX_ALPHABET}], "
+                f"got {self.alphabet_size}"
+            )
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
         if self.n_samples < self.word_length:
@@ -88,68 +66,6 @@ class QualifierConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> QualifierConfig:
-        _check_no_unknown_keys(cls, data)
-        return cls(**data)
-
-
-@dataclass(frozen=True, kw_only=True)
-class PartitionConfig:
-    """Which filters execute reliably (integrated hybrid only).
-
-    A serialisable twin of :class:`repro.core.partition.HybridPartition`
-    -- same defaults (Sobel-x/-y of ``conv1`` under DMR with the
-    ``"auto"`` execution engine), same validation, plus dict
-    round-tripping.  :meth:`to_partition` produces the core object.
-    ``engine`` selects the reliable-execution strategy, one of
-    :data:`~repro.reliable.executor.RELIABLE_ENGINES` (``"auto"``
-    picks the vectorized speculate-then-verify engine whenever its
-    result is provably bit-identical to the scalar Algorithm 3 loop).
-    """
-
-    reliable_filters: dict[str, tuple[int, ...]] = field(
-        default_factory=lambda: {"conv1": (0, 1)}
-    )
-    bifurcation_layer: str = "conv1"
-    redundancy: str = Redundancy.DMR.value
-    engine: str = "auto"
-
-    def __post_init__(self) -> None:
-        # Normalise JSON-style lists to tuples so equality (and thus
-        # from_dict(to_dict(c)) == c) holds regardless of source.
-        object.__setattr__(
-            self,
-            "reliable_filters",
-            {
-                name: tuple(int(f) for f in filters)
-                for name, filters in self.reliable_filters.items()
-            },
-        )
-        if isinstance(self.redundancy, Redundancy):
-            object.__setattr__(self, "redundancy", self.redundancy.value)
-        # Reuse the core validation rules by constructing the twin.
-        self.to_partition()
-
-    def to_partition(self) -> HybridPartition:
-        return HybridPartition(
-            reliable_filters=dict(self.reliable_filters),
-            bifurcation_layer=self.bifurcation_layer,
-            redundancy=self.redundancy,
-            engine=self.engine,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "reliable_filters": {
-                name: list(filters)
-                for name, filters in self.reliable_filters.items()
-            },
-            "bifurcation_layer": self.bifurcation_layer,
-            "redundancy": self.redundancy,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> PartitionConfig:
         _check_no_unknown_keys(cls, data)
         return cls(**data)
 
@@ -378,18 +294,19 @@ class PipelineConfig:
     Attributes
     ----------
     architecture:
-        Key into :data:`repro.api.ARCHITECTURES` -- ``"parallel"``
-        (Figure 1), ``"integrated"`` (Figure 2), or any registered
-        extension.  :class:`Architecture` members are accepted and
-        stored as their string value.
+        An :class:`Architecture` value -- ``"parallel"`` (Figure 1)
+        or ``"integrated"`` (Figure 2); anything else raises
+        ``ValueError``.  :class:`Architecture` members are accepted
+        and stored as their string value.
     safety_class:
         Class index the reliable-result block qualifies.
     qualifier:
         The dependable block's configuration.
     partition:
-        Reliable/non-reliable split; only meaningful for architectures
-        with an in-network dependable path.  ``None`` means the
-        architecture's default (the paper's conv1 Sobel pair).
+        Reliable/non-reliable split; only meaningful for the
+        integrated architecture.  ``None`` means the default
+        :class:`~repro.core.partition.HybridPartition` (the paper's
+        conv1 Sobel pair).
     pin_sobel:
         When True the factory pins Sobel-x/-y stacks into the first
         two reliable filters of the bifurcation layer (or ``conv1``),
@@ -401,37 +318,25 @@ class PipelineConfig:
     architecture: str = Architecture.PARALLEL.value
     safety_class: int = DEFAULT_SAFETY_CLASS
     qualifier: QualifierConfig = field(default_factory=QualifierConfig)
-    partition: PartitionConfig | None = None
+    partition: HybridPartition | None = None
     pin_sobel: bool = False
     name: str = "hybrid-pipeline"
 
     def __post_init__(self) -> None:
-        if isinstance(self.architecture, Architecture):
-            object.__setattr__(
-                self, "architecture", self.architecture.value
-            )
-        if not self.architecture:
-            raise ValueError("architecture must be non-empty")
+        object.__setattr__(
+            self, "architecture", Architecture(self.architecture).value
+        )
         if self.safety_class < 0:
             raise ValueError("safety_class must be non-negative")
         if not isinstance(self.qualifier, QualifierConfig):
             raise TypeError("qualifier must be a QualifierConfig")
         if self.partition is not None and not isinstance(
-            self.partition, PartitionConfig
+            self.partition, HybridPartition
         ):
-            raise TypeError("partition must be a PartitionConfig or None")
+            raise TypeError("partition must be a HybridPartition or None")
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "safety_class": self.safety_class,
-            "qualifier": self.qualifier.to_dict(),
-            "partition": (
-                None if self.partition is None else self.partition.to_dict()
-            ),
-            "pin_sobel": self.pin_sobel,
-            "name": self.name,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> PipelineConfig:
@@ -440,7 +345,7 @@ class PipelineConfig:
         if "qualifier" in data and isinstance(data["qualifier"], dict):
             data["qualifier"] = QualifierConfig.from_dict(data["qualifier"])
         if "partition" in data and isinstance(data["partition"], dict):
-            data["partition"] = PartitionConfig.from_dict(data["partition"])
+            data["partition"] = HybridPartition.from_dict(data["partition"])
         return cls(**data)
 
     def content_hash(self) -> str:

@@ -10,14 +10,14 @@ This module is the canonical entry point for hybrid inference:
 {'confirmed': 30, 'rejected_by_qualifier': 2, ...}
 
 Construction is driven entirely by :class:`~repro.api.config.
-PipelineConfig`; the architecture, qualifier, operator and baseline
-axes resolve through the registries in :mod:`repro.api.registry`, so
-new scenarios extend the system without touching ``repro.core``.
+PipelineConfig`: :func:`build_pipeline` constructs the architecture it
+names and the shape qualifier directly; redundancy operators and
+protection baselines resolve through the registries in
+:mod:`repro.api.registry`.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -26,18 +26,18 @@ import numpy as np
 
 from repro.api.config import (
     Architecture,
-    PartitionConfig,
     PipelineConfig,
     QualifierConfig,
     ServingConfig,
 )
-from repro.api.registry import ARCHITECTURES, BASELINES, OPERATORS, QUALIFIERS
+from repro.api.registry import BASELINES, OPERATORS
 from repro.api.results import BatchResult
 from repro.core.hybrid import (
     HybridResult,
     IntegratedHybridCNN,
     ParallelHybridCNN,
 )
+from repro.core.partition import HybridPartition
 from repro.core.qualifier import ShapeQualifier
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
@@ -45,12 +45,12 @@ from repro.reliable.operators import Operator
 from repro.vision.filters import sobel_axis_stack
 
 # ---------------------------------------------------------------------------
-# Built-in registrations
+# Component factories
 # ---------------------------------------------------------------------------
 
 
-@QUALIFIERS.register("shape")
-def _build_shape_qualifier(config: QualifierConfig) -> ShapeQualifier:
+def build_qualifier(config: QualifierConfig) -> ShapeQualifier:
+    """Instantiate the shape qualifier a config describes."""
     return ShapeQualifier(
         shape=config.shape,
         word_length=config.word_length,
@@ -60,34 +60,6 @@ def _build_shape_qualifier(config: QualifierConfig) -> ShapeQualifier:
         edge_threshold=config.edge_threshold,
         n_samples=config.n_samples,
     )
-
-
-@ARCHITECTURES.register("parallel")
-def _build_parallel(
-    model: Sequential, qualifier, config: PipelineConfig
-) -> ParallelHybridCNN:
-    return ParallelHybridCNN(model, qualifier, config.safety_class)
-
-
-@ARCHITECTURES.register("integrated")
-def _build_integrated(
-    model: Sequential, qualifier, config: PipelineConfig
-) -> IntegratedHybridCNN:
-    partition = (config.partition or PartitionConfig()).to_partition()
-    return IntegratedHybridCNN(
-        model, qualifier, config.safety_class, partition
-    )
-
-
-# ---------------------------------------------------------------------------
-# Component factories
-# ---------------------------------------------------------------------------
-
-
-def build_qualifier(config: QualifierConfig):
-    """Instantiate the qualifier a config describes (via the
-    :data:`~repro.api.registry.QUALIFIERS` registry)."""
-    return QUALIFIERS.get(config.kind)(config)
 
 
 def build_operator(kind: str, unit=None) -> Operator:
@@ -104,39 +76,25 @@ def build_baseline(name: str, model: Sequential, **kwargs):
 def _pin_sobel_filters(model: Sequential, config: PipelineConfig) -> None:
     """Pin Sobel-x/-y into the first two reliable filters."""
     # Pinning mutates the trained conv1 in place, so it is only
-    # meaningful for architectures whose in-network dependable
-    # partition consumes the pinned filters.  "parallel" qualifies the
-    # raw image and never reads the partition -- pinning there would
-    # silently degrade the classifier for nothing.
+    # meaningful for the integrated architecture, whose in-network
+    # dependable partition consumes the pinned filters.  "parallel"
+    # qualifies the raw image and never reads the partition --
+    # pinning there would silently degrade the classifier for nothing.
     if config.architecture == Architecture.PARALLEL.value:
         raise ValueError(
             "pin_sobel is meaningless for the 'parallel' architecture: "
             "its qualifier runs on the raw image, so pinning would only "
             "overwrite trained filters"
         )
-    if (
-        config.partition is None
-        and config.architecture != Architecture.INTEGRATED.value
-    ):
-        raise ValueError(
-            f"pin_sobel with architecture {config.architecture!r} "
-            "requires an explicit partition: only an in-network "
-            "dependable partition consumes pinned filters"
-        )
-    layer_name = (
-        config.partition.bifurcation_layer if config.partition else "conv1"
-    )
+    partition = config.partition or HybridPartition()
+    layer_name = partition.bifurcation_layer
     layer = model.layer(layer_name)
     if not isinstance(layer, Conv2D):
         raise TypeError(
             f"pin_sobel requires a Conv2D at {layer_name!r}, "
             f"got {type(layer).__name__}"
         )
-    filters = (
-        config.partition.reliable_filters[layer_name]
-        if config.partition
-        else (0, 1)
-    )
+    filters = partition.reliable_filters[layer_name]
     if len(filters) < 2:
         # A single directional filter leaves gaps in contours parallel
         # to its direction (see ShapeQualifier.check_feature_map);
@@ -160,10 +118,10 @@ def build_pipeline(
     """Wire a :class:`HybridPipeline` around a trained model.
 
     The config supplies everything but the weights: the architecture
-    builder comes from :data:`~repro.api.registry.ARCHITECTURES`, the
-    qualifier from :data:`~repro.api.registry.QUALIFIERS`, and
-    ``pin_sobel=True`` applies the paper's Sobel pre-initialisation to
-    the dependable filters before the hybrid is assembled.
+    and its qualifier, and the reliable partition of the integrated
+    architecture; ``pin_sobel=True`` applies the paper's Sobel
+    pre-initialisation to the dependable filters before the hybrid is
+    assembled.
     """
     if not isinstance(config, PipelineConfig):
         raise TypeError(
@@ -172,9 +130,12 @@ def build_pipeline(
     if config.pin_sobel:
         _pin_sobel_filters(model, config)
     qualifier = build_qualifier(config.qualifier)
-    hybrid = ARCHITECTURES.get(config.architecture)(
-        model, qualifier, config
-    )
+    if config.architecture == Architecture.PARALLEL.value:
+        hybrid = ParallelHybridCNN(model, qualifier, config.safety_class)
+    else:
+        hybrid = IntegratedHybridCNN(
+            model, qualifier, config.safety_class, config.partition
+        )
     return HybridPipeline(hybrid, config)
 
 
@@ -218,23 +179,7 @@ class HybridPipeline:
 
     @property
     def safety_class(self) -> int:
-        # From the config, not the hybrid's internals: custom
-        # registered architectures need not expose a result_block.
         return self.config.safety_class
-
-    @property
-    def supports_qualifier_views(self) -> bool:
-        """True when the architecture qualifies a separate view of the
-        scene (its ``infer`` accepts ``qualifier_view``); integrated
-        hybrids qualify the bifurcated feature map instead.  Probed by
-        capability, not by type, so registered custom architectures
-        participate.
-        """
-        try:
-            parameters = inspect.signature(self.hybrid.infer).parameters
-        except (TypeError, ValueError):
-            return False
-        return "qualifier_view" in parameters
 
     # -- inference -------------------------------------------------------
     def infer(
@@ -350,7 +295,9 @@ class HybridPipeline:
         return PipelineServer(self, config, on_degraded=on_degraded)
 
     def _require_view_support(self) -> None:
-        if not self.supports_qualifier_views:
+        # Only the parallel hybrid qualifies a separate view of the
+        # scene; the integrated one qualifies its bifurcated feature map.
+        if self.config.architecture != Architecture.PARALLEL.value:
             raise ValueError(
                 f"architecture {self.config.architecture!r} qualifies "
                 "the bifurcated feature map; it does not accept a "

@@ -1,17 +1,20 @@
 """String-keyed component registries for the pipeline layer.
 
-Every extensible axis of the hybrid pipeline -- architecture,
-qualifier, redundancy operator, protection baseline -- is a
-:class:`Registry` of named builders.  New scenarios plug in with the
-:meth:`Registry.register` decorator instead of editing ``repro.core``:
+The open axes of the system -- redundancy operator, protection
+baseline, campaign target -- are each a :class:`Registry` of named
+builders.  Extensions plug in with the :meth:`Registry.register`
+decorator instead of editing the modules that dispatch on them:
 
->>> from repro.api import ARCHITECTURES
->>> @ARCHITECTURES.register("shadow")
-... def build_shadow(model, qualifier, config):
-...     return ShadowHybrid(model, qualifier, config.safety_class)
+>>> from repro.api import OPERATORS
+>>> @OPERATORS.register("qmr")
+... class QuadOperator(RedundantOperator):
+...     executions_per_op = 4
 
-after which ``PipelineConfig(architecture="shadow")`` builds through
-:func:`repro.api.pipeline.build_pipeline` like the built-ins.
+after which ``HybridPartition(redundancy="qmr")`` runs the reliable
+partition under it.  The hybrid architecture and the qualifier are
+not open axes: :func:`repro.api.pipeline.build_pipeline` constructs
+the two :class:`~repro.api.config.Architecture` members and the
+shape qualifier directly.
 """
 
 from __future__ import annotations
@@ -94,15 +97,6 @@ class Registry:
         return f"Registry({self.kind!r}, {self.names()})"
 
 
-#: Hybrid architectures: ``builder(model, qualifier, config) -> hybrid``.
-#: The built-ins (``"parallel"``, ``"integrated"``) are registered in
-#: :mod:`repro.api.pipeline`.
-ARCHITECTURES = Registry("architecture")
-
-#: Qualifier families: ``builder(qualifier_config) -> qualifier``.
-QUALIFIERS = Registry("qualifier")
-
-
 class _OperatorRegistry(Registry):
     """Live registry *view* over the operator factory table behind
     :func:`repro.reliable.operators.make_operator`, the single source
@@ -110,7 +104,7 @@ class _OperatorRegistry(Registry):
     table and registration funnels into it, so a kind registered
     through either entry point is reachable from every kind-string
     surface -- ``build_operator``, ``ReliableConv2D(operator="<kind>")``
-    and ``PartitionConfig(redundancy="<kind>")``.  The table raises
+    and ``HybridPartition(redundancy="<kind>")``.  The table raises
     ``ValueError`` on unknown/duplicate kinds, translated here to
     :class:`RegistryError`.
     """
@@ -152,9 +146,9 @@ class _OperatorRegistry(Registry):
         return len(self.names())
 
 
-#: Redundancy operators: ``builder(unit=None) -> Operator``.  Seeded
-#: from :mod:`repro.reliable.operators`; additions propagate back to
-#: that module's factory table.
+#: Redundant-execution operators: ``builder(unit=None) -> Operator``.
+#: Seeded from :mod:`repro.reliable.operators`; additions propagate
+#: back to that module's factory table.
 OPERATORS = _OperatorRegistry("operator")
 
 #: Protection baselines the paper compares against:

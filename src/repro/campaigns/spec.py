@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.config import _check_no_unknown_keys
+from repro.core.partition import _check_no_unknown_keys
 from repro.faults.models import (
     FaultModel,
     IntermittentFault,

@@ -1,7 +1,7 @@
 """SQLite-backed catalog of performance and campaign artifacts.
 
 The repo's benches write schema-validated timing JSONs
-(``benchmarks/timing_schema.py``) and the fault-injection engine
+(:mod:`repro.catalog.schema`) and the fault-injection engine
 writes campaign reports (``repro.campaigns.artifacts.CampaignStore``);
 the chaos layer writes campaign summaries of serving-invariant runs
 (``repro.chaos.campaign.chaos_summary``).  All are flat files that CI
@@ -26,13 +26,11 @@ Design rules
   timestamps, no hostnames, no RNG.  Catalog content is a pure
   function of the ingested payloads, which is what lets tests assert
   against it bit-for-bit.
-* **Validating consumer.**  Timing payloads are re-validated against
-  the shared schema *at ingest* (mirroring the producer-side
-  ``validate_timing_payload`` contract: ``bench``, ``batch``, at
-  least one ``*_seconds`` and one ``speedup*`` key, all positive
-  finite).  A malformed file is rejected with the violation list
-  rather than silently catalogued -- the catalog trusts its own gate,
-  not the producer's.
+* **Validating consumer.**  Timing payloads are re-validated at
+  ingest by the same :func:`~repro.catalog.schema.
+  validate_timing_payload` the benches' writer runs.  A malformed
+  file is rejected with the violation list rather than silently
+  catalogued -- the catalog trusts its own gate, not the producer's.
 
 Only the standard library is used (``sqlite3``, ``json``,
 ``hashlib``).
@@ -46,6 +44,8 @@ import math
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.catalog.schema import validate_timing_payload
 
 __all__ = [
     "ArtifactRecord",
@@ -108,58 +108,6 @@ def content_hash_of(payload: dict) -> str:
     campaign-spec content-hash idiom, applied to artifacts."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _is_positive_finite(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
-
-
-def _validate_timing(payload: dict) -> list[str]:
-    """Consumer-side mirror of the shared timing-artifact schema.
-
-    Kept independent of ``benchmarks/timing_schema.py`` on purpose:
-    the catalog is importable without the benchmarks tree, and a
-    consumer that re-checks the contract catches a producer whose
-    validation drifted.  ``tests/catalog`` pins the two against each
-    other.
-    """
-    errors: list[str] = []
-    bench = payload.get("bench")
-    if not isinstance(bench, str) or not bench:
-        errors.append("'bench' must be a non-empty string")
-    batch = payload.get("batch")
-    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-        errors.append("'batch' must be a positive int")
-    seconds_keys = [k for k in payload if k.endswith("_seconds")]
-    if not seconds_keys:
-        errors.append("at least one '*_seconds' wall-time key required")
-    speedup_keys = [
-        k for k in payload
-        if k == "speedup" or k.startswith("speedup_vs_")
-    ]
-    if not speedup_keys:
-        errors.append(
-            "at least one 'speedup' / 'speedup_vs_*' key required"
-        )
-    for key in seconds_keys + speedup_keys:
-        if not _is_positive_finite(payload[key]):
-            errors.append(
-                f"{key!r} must be a positive finite number, "
-                f"got {payload[key]!r}"
-            )
-    for key in payload:
-        if key.startswith("min_") and key.endswith("_asserted"):
-            if not _is_positive_finite(payload[key]):
-                errors.append(
-                    f"{key!r} must be a positive finite number, "
-                    f"got {payload[key]!r}"
-                )
-    return errors
 
 
 def _validate_campaign(payload: dict) -> list[str]:
@@ -325,7 +273,7 @@ class CatalogStore:
         """
         kind = classify_payload(payload)
         validators = {
-            "timing": _validate_timing,
+            "timing": validate_timing_payload,
             "campaign": _validate_campaign,
             "chaos": _validate_chaos,
         }

@@ -336,8 +336,7 @@ class IntegratedHybridCNN:
         ``reliable_report`` is that image's slice of the batched
         :class:`~repro.reliable.executor.ExecutionReport`
         (``report.per_image``), equivalent counter-for-counter to the
-        report the same image would get from :meth:`infer` --
-        ``elapsed_seconds`` aside, which repeats the batch wall time.
+        report the same image would get from :meth:`infer`.
         """
         return self._infer_stack(np.asarray(images, dtype=np.float32))
 

@@ -4,12 +4,15 @@ The paper's insight: "not all classifications may be relevant for
 reliability purposes and hence not all layers or portions of layers
 need be executed reliably."  A :class:`HybridPartition` names exactly
 which filters of which layers form the dependable CNN; everything else
-runs natively.
+runs natively.  It is also the serialisable description of that
+split: :class:`repro.api.PipelineConfig` nests it as ``partition``,
+and the hybrid interchange format (:mod:`repro.hybridir`) stores it
+through that config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
@@ -17,9 +20,25 @@ from repro.reliable.executor import RELIABLE_ENGINES
 from repro.reliable.operators import operator_kinds, operator_multiplier
 
 
+def _check_no_unknown_keys(cls, data: dict) -> None:
+    """The ``from_dict`` guard of every config dataclass: reject keys
+    that name no field of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ValueError(
+            f"{cls.__name__}: unknown keys {sorted(unknown)}; "
+            f"expected a subset of {sorted(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class HybridPartition:
     """Which portions of the network execute reliably.
+
+    Validates eagerly and round-trips losslessly through
+    :meth:`to_dict`/:meth:`from_dict`; JSON-style filter lists
+    normalise to tuples, so ``from_dict(to_dict(p)) == p``.
 
     Attributes
     ----------
@@ -58,6 +77,14 @@ class HybridPartition:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "reliable_filters",
+            {
+                name: tuple(int(f) for f in filters)
+                for name, filters in self.reliable_filters.items()
+            },
+        )
         if self.engine not in RELIABLE_ENGINES:
             raise ValueError(
                 f"engine must be one of {RELIABLE_ENGINES}, "
@@ -88,6 +115,14 @@ class HybridPartition:
                 raise ValueError(f"empty filter set for layer {name!r}")
             if len(set(filters)) != len(filters):
                 raise ValueError(f"duplicate filters for layer {name!r}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> HybridPartition:
+        _check_no_unknown_keys(cls, data)
+        return cls(**data)
 
     def validate_against(self, model: Sequential) -> None:
         """Check every referenced layer/filter exists in ``model``."""

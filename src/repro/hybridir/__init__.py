@@ -5,26 +5,21 @@ extensions to the ONNX standard to facilitate the platform-agnostic
 description of hybrid-CNNs."  This package implements that extension
 in miniature: a JSON graph format that describes
 
-* the network topology (an ONNX-like op list with attributes),
-* the **reliability annotation** -- which filters of which layers are
-  dependable, the redundancy scheme, the bifurcation point, and the
-  qualifier configuration (shape, SAX parameters, threshold), and
-* the safety contract (which class requires qualification).
+* the network topology (an ONNX-like op list with attributes), and
+* the **reliability annotation** -- the integrated hybrid's
+  :class:`~repro.api.config.PipelineConfig`, stored as is: which
+  filters of which layers are dependable, the redundancy scheme and
+  engine, the bifurcation point, the qualifier configuration and the
+  safety class.
 
-A hybrid graph can be exported from a live
-:class:`~repro.core.hybrid.IntegratedHybridCNN` configuration,
-validated structurally, saved/loaded as JSON (+ ``.npz`` weights),
-and rebuilt into a running hybrid on the other side -- the
-"platform-agnostic description" round trip.
+A hybrid graph is exported from a model and its config, validated
+structurally, saved/loaded as JSON (+ ``.npz`` weights), and rebuilt
+through :func:`repro.api.build_pipeline` on the other side -- the
+"platform-agnostic description" round trip, lossless for the config
+and bitwise for the results.
 """
 
-from repro.hybridir.schema import (
-    SCHEMA_VERSION,
-    HybridGraph,
-    LayerNode,
-    QualifierSpec,
-    ReliabilityAnnotation,
-)
+from repro.hybridir.schema import SCHEMA_VERSION, HybridGraph, LayerNode
 from repro.hybridir.export import export_hybrid, save_hybrid
 from repro.hybridir.build import build_hybrid, build_model, load_hybrid
 from repro.hybridir.validate import ValidationError, validate_graph
@@ -32,8 +27,6 @@ from repro.hybridir.validate import ValidationError, validate_graph
 __all__ = [
     "SCHEMA_VERSION",
     "LayerNode",
-    "QualifierSpec",
-    "ReliabilityAnnotation",
     "HybridGraph",
     "export_hybrid",
     "save_hybrid",

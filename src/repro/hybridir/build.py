@@ -7,12 +7,7 @@ import os
 
 import numpy as np
 
-from repro.api import (
-    PartitionConfig,
-    PipelineConfig,
-    QualifierConfig,
-    build_pipeline,
-)
+from repro.api import build_pipeline
 from repro.core.hybrid import IntegratedHybridCNN
 from repro.hybridir.schema import HybridGraph, LayerNode
 from repro.hybridir.validate import validate_graph
@@ -78,46 +73,15 @@ def build_hybrid(
     model: Sequential | None = None,
     rng: np.random.Generator | None = None,
 ) -> IntegratedHybridCNN:
-    """Instantiate the full integrated hybrid a graph describes.
-
-    The graph's reliability annotation is translated into a
-    :class:`repro.api.PipelineConfig` and built through the pipeline
-    layer, so interchange files construct exactly like hand-written
-    configs.
-    """
+    """Instantiate the full integrated hybrid a graph describes, by
+    building its :attr:`~repro.hybridir.schema.HybridGraph.reliability`
+    config through the pipeline layer -- so interchange files
+    construct exactly like hand-written configs."""
     if model is None:
-        model = build_model(graph, rng)
-    annotation = graph.reliability
-    spec = annotation.qualifier
-    config = PipelineConfig(
-        architecture="integrated",
-        safety_class=annotation.safety_class,
-        qualifier=QualifierConfig(
-            shape=spec.shape,
-            word_length=spec.word_length,
-            alphabet_size=spec.alphabet_size,
-            threshold=spec.threshold,
-            redundant=spec.redundant,
-            n_samples=spec.n_samples,
-        ),
-        partition=PartitionConfig(
-            reliable_filters={
-                name: tuple(filters)
-                for name, filters in annotation.reliable_filters.items()
-            },
-            bifurcation_layer=annotation.bifurcation_layer,
-            redundancy=annotation.redundancy,
-        ),
-        name=graph.name,
-    )
-    hybrid = build_pipeline(config, model).hybrid
-    if not isinstance(hybrid, IntegratedHybridCNN):
-        raise TypeError(
-            "the 'integrated' architecture builder returned "
-            f"{type(hybrid).__name__}; hybridir graphs describe "
-            "IntegratedHybridCNN deployments"
-        )
-    return hybrid
+        model = build_model(graph, rng)  # validates the graph
+    else:
+        validate_graph(graph)
+    return build_pipeline(graph.reliability, model).hybrid
 
 
 def load_hybrid(path: str | os.PathLike) -> IntegratedHybridCNN:

@@ -5,14 +5,9 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core.partition import HybridPartition
-from repro.core.qualifier import ShapeQualifier
-from repro.hybridir.schema import (
-    HybridGraph,
-    LayerNode,
-    QualifierSpec,
-    ReliabilityAnnotation,
-)
+from repro.api.config import PipelineConfig
+from repro.hybridir.schema import HybridGraph, LayerNode
+from repro.hybridir.validate import validate_graph
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -67,41 +62,26 @@ def _layer_to_node(layer) -> LayerNode:
 
 def export_hybrid(
     model: Sequential,
-    partition: HybridPartition,
-    qualifier: ShapeQualifier,
-    safety_class: int,
+    config: PipelineConfig,
     input_shape: tuple[int, int, int],
     name: str | None = None,
 ) -> HybridGraph:
-    """Describe a hybrid configuration as a :class:`HybridGraph`.
+    """Describe an integrated hybrid as a validated :class:`HybridGraph`.
 
-    The graph carries topology and the reliability annotation; weights
-    travel separately (see :func:`save_hybrid`).
+    The graph carries the topology and ``config`` itself as its
+    reliability annotation; weights travel separately (see
+    :func:`save_hybrid`).  Raises
+    :class:`~repro.hybridir.validate.ValidationError` when ``config``
+    does not describe an integrated hybrid over ``model``.
     """
-    partition.validate_against(model)
-    annotation = ReliabilityAnnotation(
-        reliable_filters={
-            layer: list(filters)
-            for layer, filters in partition.reliable_filters.items()
-        },
-        bifurcation_layer=partition.bifurcation_layer,
-        redundancy=partition.redundancy,
-        safety_class=safety_class,
-        qualifier=QualifierSpec(
-            shape=qualifier.shape,
-            word_length=qualifier.encoder.word_length,
-            alphabet_size=qualifier.encoder.alphabet_size,
-            threshold=qualifier.threshold,
-            n_samples=qualifier.n_samples,
-            redundant=qualifier.redundant,
-        ),
-    )
-    return HybridGraph(
+    graph = HybridGraph(
         name=name or model.name,
         input_shape=input_shape,
         layers=[_layer_to_node(layer) for layer in model],
-        reliability=annotation,
+        reliability=config,
     )
+    validate_graph(graph)
+    return graph
 
 
 def save_hybrid(

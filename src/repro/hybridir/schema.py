@@ -1,11 +1,13 @@
-"""Graph schema: ONNX-like nodes plus reliability annotations."""
+"""Graph schema: ONNX-like nodes plus the hybrid's wiring."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
 
-SCHEMA_VERSION = 1
+from repro.api.config import PipelineConfig
+
+SCHEMA_VERSION = 2
 
 #: Supported ops and the attributes each carries.
 OP_ATTRS: dict[str, tuple[str, ...]] = {
@@ -41,82 +43,22 @@ class LayerNode:
 
 
 @dataclass
-class QualifierSpec:
-    """Serialised qualifier configuration (the dependable model)."""
-
-    shape: str = "octagon"
-    word_length: int = 32
-    alphabet_size: int = 8
-    threshold: float = 3.0
-    n_samples: int = 128
-    redundant: bool = True
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "shape": self.shape,
-            "word_length": self.word_length,
-            "alphabet_size": self.alphabet_size,
-            "threshold": self.threshold,
-            "n_samples": self.n_samples,
-            "redundant": self.redundant,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QualifierSpec":
-        return cls(**data)
-
-
-@dataclass
-class ReliabilityAnnotation:
-    """The hybrid extension: what executes dependably, and how.
-
-    This is the information an ONNX extension would need to carry for
-    a downstream FPGA/accelerator toolchain to reproduce the paper's
-    architecture: everything else in the graph is standard topology.
-    """
-
-    reliable_filters: dict[str, list[int]] = field(
-        default_factory=lambda: {"conv1": [0, 1]}
-    )
-    bifurcation_layer: str = "conv1"
-    redundancy: str = "dmr"
-    safety_class: int = 0
-    qualifier: QualifierSpec = field(default_factory=QualifierSpec)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reliable_filters": {
-                name: list(filters)
-                for name, filters in self.reliable_filters.items()
-            },
-            "bifurcation_layer": self.bifurcation_layer,
-            "redundancy": self.redundancy,
-            "safety_class": self.safety_class,
-            "qualifier": self.qualifier.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ReliabilityAnnotation":
-        return cls(
-            reliable_filters={
-                name: list(filters)
-                for name, filters in data["reliable_filters"].items()
-            },
-            bifurcation_layer=data["bifurcation_layer"],
-            redundancy=data["redundancy"],
-            safety_class=data["safety_class"],
-            qualifier=QualifierSpec.from_dict(data["qualifier"]),
-        )
-
-
-@dataclass
 class HybridGraph:
-    """A complete hybrid-CNN description."""
+    """A complete hybrid-CNN description.
+
+    ``reliability`` is the hybrid extension: the integrated
+    :class:`~repro.api.config.PipelineConfig` -- which filters of
+    which layer execute dependably and under which redundancy, the
+    bifurcation point, the qualifier and the safety class.  That is
+    the information an ONNX extension would need to carry for a
+    downstream FPGA/accelerator toolchain to reproduce the paper's
+    architecture; everything else in the graph is standard topology.
+    """
 
     name: str
     input_shape: tuple[int, int, int]
     layers: list[LayerNode]
-    reliability: ReliabilityAnnotation
+    reliability: PipelineConfig
     weights_file: str | None = None
     schema_version: int = SCHEMA_VERSION
 
@@ -142,9 +84,7 @@ class HybridGraph:
             name=data["name"],
             input_shape=tuple(data["input_shape"]),
             layers=[LayerNode.from_dict(d) for d in data["layers"]],
-            reliability=ReliabilityAnnotation.from_dict(
-                data["reliability"]
-            ),
+            reliability=PipelineConfig.from_dict(data["reliability"]),
             weights_file=data.get("weights_file"),
             schema_version=version,
         )

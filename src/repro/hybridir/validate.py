@@ -3,23 +3,26 @@
 A graph is checked *before* instantiation so a toolchain consuming
 the format can reject malformed descriptions with actionable errors
 -- the role ONNX checker plays for plain graphs, extended with the
-reliability-annotation rules:
+facts that tie the hybrid's wiring to this graph:
 
-* the bifurcation layer exists, is a conv2d, and owns every filter
-  index the annotation claims;
 * shape inference succeeds end to end (channel/feature mismatches
   between consecutive nodes are caught here);
+* every reliable layer exists, is a conv2d, and owns every filter
+  index the partition claims;
 * the safety class fits the classifier head;
-* qualifier parameters are within the ranges the SAX machinery
-  supports.
+* the architecture is ``"integrated"``, the one the format describes.
+
+Rules that need no graph -- redundancy kinds, duplicate filters,
+qualifier parameter ranges -- are enforced by the config classes
+when :attr:`~repro.hybridir.schema.HybridGraph.reliability` is built.
 """
 
 from __future__ import annotations
 
+from repro.api.config import Architecture
+from repro.core.partition import HybridPartition
 from repro.hybridir import schema
-from repro.reliable.operators import operator_kinds, operator_multiplier
 from repro.hybridir.schema import HybridGraph, LayerNode
-from repro.sax.breakpoints import MAX_ALPHABET
 
 
 class ValidationError(ValueError):
@@ -109,7 +112,7 @@ def _expect_rank(shape: tuple[int, ...], rank: int, node: LayerNode):
 
 
 def validate_graph(graph: HybridGraph) -> None:
-    """Validate topology + reliability annotation; raises
+    """Validate topology and its fit to the hybrid's wiring; raises
     :class:`ValidationError` with a precise message on failure."""
     if not graph.layers:
         raise ValidationError("graph has no layers")
@@ -122,13 +125,15 @@ def validate_graph(graph: HybridGraph) -> None:
         _check_node(node)
     shapes = _infer_shapes(graph)
 
-    annotation = graph.reliability
-    by_name = {node.name: node for node in graph.layers}
-    if annotation.bifurcation_layer not in annotation.reliable_filters:
+    config = graph.reliability
+    if config.architecture != Architecture.INTEGRATED.value:
         raise ValidationError(
-            "bifurcation layer has no reliable filters configured"
+            f"architecture {config.architecture!r}: hybrid graphs "
+            "describe integrated hybrids"
         )
-    for layer_name, filters in annotation.reliable_filters.items():
+    partition = config.partition or HybridPartition()
+    by_name = {node.name: node for node in graph.layers}
+    for layer_name, filters in partition.reliable_filters.items():
         node = by_name.get(layer_name)
         if node is None:
             raise ValidationError(
@@ -147,42 +152,14 @@ def validate_graph(graph: HybridGraph) -> None:
                 f"layer {layer_name!r}: filter indices {bad} outside "
                 f"[0, {out_channels})"
             )
-        if len(set(filters)) != len(filters):
-            raise ValidationError(
-                f"layer {layer_name!r}: duplicate filter indices"
-            )
-    # Same rule as HybridPartition: any registered operator kind that
-    # actually executes redundantly (so graphs built from custom
-    # OPERATORS registrations round-trip through the IR).
-    if annotation.redundancy not in operator_kinds():
-        raise ValidationError(
-            f"unknown redundancy {annotation.redundancy!r}; "
-            f"registered kinds: {operator_kinds()}"
-        )
-    if operator_multiplier(annotation.redundancy) < 2:
-        raise ValidationError(
-            f"redundancy {annotation.redundancy!r} executes only once "
-            "per operation; the dependable partition requires a "
-            "redundant operator"
-        )
 
     final_shape = shapes[-1]
     if len(final_shape) != 1:
         raise ValidationError(
             f"graph must end in a class vector, ends in {final_shape}"
         )
-    if not 0 <= annotation.safety_class < final_shape[0]:
+    if not 0 <= config.safety_class < final_shape[0]:
         raise ValidationError(
-            f"safety class {annotation.safety_class} outside the "
+            f"safety class {config.safety_class} outside the "
             f"{final_shape[0]}-class head"
         )
-
-    spec = annotation.qualifier
-    if not 2 <= spec.alphabet_size <= MAX_ALPHABET:
-        raise ValidationError("qualifier alphabet_size out of range")
-    if spec.word_length <= 0 or spec.word_length > spec.n_samples:
-        raise ValidationError(
-            "qualifier word_length must be in (0, n_samples]"
-        )
-    if spec.threshold < 0:
-        raise ValidationError("qualifier threshold must be >= 0")

@@ -115,7 +115,7 @@ def _class_body_dict(class_node: ast.ClassDef, name: str) -> dict | None:
 
 def _is_registry_base(dotted: str | None) -> str | None:
     """Registries are module-level ALL-CAPS names by repo convention
-    (``ARCHITECTURES``, ``CAMPAIGN_TARGETS``...).  Returns the registry
+    (``OPERATORS``, ``CAMPAIGN_TARGETS``...).  Returns the registry
     id (the last path component) or None."""
     if not dotted:
         return None

@@ -22,7 +22,6 @@ distance:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +43,14 @@ class ExecutionReport:
     sub-report per input image in batch order.  Each sub-report's
     counters cover exactly that image's share (its ``failed_outputs``
     are rebased to image index 0, so it reads like a single-image
-    run), and its ``elapsed_seconds`` repeats the aggregate wall time
-    -- the batch ran as one timed pass, so per-image timing does not
-    exist.  Engines that predate the field may leave it empty; readers
-    fall back to the aggregate then.
+    run).  The report holds no timing: callers that want wall time
+    measure the call themselves.
     """
 
     operations: int = 0
     errors_detected: int = 0
     rollbacks: int = 0
     persistent_failures: int = 0
-    elapsed_seconds: float = 0.0
     operator_kind: str = "plain"
     failed_outputs: list[tuple[int, ...]] = field(default_factory=list)
     per_image: list["ExecutionReport"] = field(default_factory=list)
@@ -269,10 +265,6 @@ class ReliableConv2D:
     ) -> tuple[np.ndarray, ExecutionReport]:
         """The paper-literal engine: Algorithm 3, one qualified
         operation at a time (``engine="scalar"``)."""
-        # repro: allow[AMBIENT-TIME] -- report metadata only
-        # (ExecutionReport.elapsed_seconds); never feeds outputs or
-        # qualification decisions.
-        start = time.perf_counter()
         patches, wmat, bias, sorted_filters, out, report = self._prepare(
             x, filters
         )
@@ -306,7 +298,7 @@ class ReliableConv2D:
                         except PersistentFailureError:
                             report.persistent_failures += 1
                             if self.on_persistent_failure == "raise":
-                                self._fill_report(report, stats, start)
+                                self._fill_report(report, stats)
                                 raise
                             report.failed_outputs.append(
                                 (img, f, i, j)
@@ -314,24 +306,15 @@ class ReliableConv2D:
                             out[img, f, i, j] = np.nan
                             bucket.reset()
             report.per_image.append(image_slice.snapshot())
-        self._fill_report(report, stats, start)
+        self._fill_report(report, stats)
         return out, report
 
     def _fill_report(
-        self,
-        report: ExecutionReport,
-        stats: ConvolutionStats,
-        start: float,
+        self, report: ExecutionReport, stats: ConvolutionStats
     ) -> None:
         report.operations = stats.operations
         report.errors_detected = stats.errors_detected
         report.rollbacks = stats.rollbacks
-        # repro: allow[AMBIENT-TIME] -- report metadata only.
-        report.elapsed_seconds = time.perf_counter() - start
-        # Per-image timing does not exist for a batched pass; each
-        # attribution sub-report repeats the aggregate wall time.
-        for sub in report.per_image:
-            sub.elapsed_seconds = report.elapsed_seconds
 
 
 def redundant_layer_forward(
@@ -361,8 +344,6 @@ def redundant_layer_forward(
     """
     if copies < 2:
         raise ValueError("redundancy needs at least 2 copies")
-    # repro: allow[AMBIENT-TIME] -- report metadata only.
-    start = time.perf_counter()
     report = ExecutionReport(
         operator_kind=f"layer-{'dmr' if copies == 2 else 'tmr'}"
     )
@@ -391,15 +372,11 @@ def redundant_layer_forward(
         report.errors_detected += 1
         if attempts > max_rollbacks:
             report.persistent_failures += 1
-            # repro: allow[AMBIENT-TIME] -- report metadata only.
-            report.elapsed_seconds = time.perf_counter() - start
             raise PersistentFailureError(
                 "layer-level redundant execution kept disagreeing",
                 errors_detected=report.errors_detected,
             )
         report.rollbacks += 1
-    # repro: allow[AMBIENT-TIME] -- report metadata only.
-    report.elapsed_seconds = time.perf_counter() - start
     return result, report
 
 

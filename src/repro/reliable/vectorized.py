@@ -42,8 +42,7 @@ built-in arithmetic, or built-in fault injection whose corruption
 is a pure function of the value (stuck-at) -- every pass produces
 identical words, nothing disagrees, and the engine's outputs,
 ``ExecutionReport`` counters, abort points and ``failed_outputs`` are
-**bitwise identical** to the scalar engine's (``elapsed_seconds``
-aside).  That is the
+**bitwise identical** to the scalar engine's.  That is the
 condition :func:`speculation_is_exact` checks and the ``"auto"``
 policy requires.  One caveat lies below both engines: when a single
 operation meets two *different* NaN words, IEEE 754 leaves open which
@@ -70,7 +69,6 @@ always safe to request.
 from __future__ import annotations
 
 import itertools
-import time
 
 import numpy as np
 
@@ -285,10 +283,6 @@ def speculative_forward(
     )
     if unit is None:
         return executor._forward_scalar(x, filters)
-    # repro: allow[AMBIENT-TIME] -- report metadata only
-    # (ExecutionReport.elapsed_seconds); never feeds outputs or
-    # qualification decisions.
-    start = time.perf_counter()
     patches, wmat, bias, sorted_filters, out, report = executor._prepare(
         x, filters
     )
@@ -296,7 +290,7 @@ def speculative_forward(
     n_filters = len(sorted_filters)
     stats = ConvolutionStats()
     if n == 0 or n_filters == 0:
-        executor._fill_report(report, stats, start)
+        executor._fill_report(report, stats)
         return out, report
 
     # The padded input holding the float32 words im2col reads, widened
@@ -335,7 +329,7 @@ def speculative_forward(
             )
             for _ in range(n)
         ]
-        executor._fill_report(report, stats, start)
+        executor._fill_report(report, stats)
         return out, report
 
     # Repair path: walk disagreeing elements in the scalar engine's
@@ -364,7 +358,7 @@ def speculative_forward(
             stats.bucket_peak = max(stats.bucket_peak, bucket.level)
             if overflow:
                 _persistent_failure(
-                    executor, report, stats, start, out, bucket,
+                    executor, report, stats, out, bucket,
                     (img, f, int(i), int(j)),
                     PersistentFailureError(
                         "leaky bucket overflowed: persistent execution "
@@ -387,7 +381,7 @@ def speculative_forward(
                 out[img, f, i, j] = result.value
             except PersistentFailureError as error:
                 _persistent_failure(
-                    executor, report, stats, start, out, bucket,
+                    executor, report, stats, out, bucket,
                     (img, f, int(i), int(j)), error,
                 )
         tail = per_image_elements - cursor
@@ -395,7 +389,7 @@ def speculative_forward(
             stats.operations += tail * ops_per_element
             bucket.record_successes(tail * ops_per_element)
         report.per_image.append(image_slice.snapshot())
-    executor._fill_report(report, stats, start)
+    executor._fill_report(report, stats)
     return out, report
 
 
@@ -403,7 +397,6 @@ def _persistent_failure(
     executor: ReliableConv2D,
     report: ExecutionReport,
     stats: ConvolutionStats,
-    start: float,
     out: np.ndarray,
     bucket: LeakyBucket,
     position: tuple[int, int, int, int],
@@ -412,7 +405,7 @@ def _persistent_failure(
     """Shared abort handling, identical to the scalar engine's."""
     report.persistent_failures += 1
     if executor.on_persistent_failure == "raise":
-        executor._fill_report(report, stats, start)
+        executor._fill_report(report, stats)
         raise error
     report.failed_outputs.append(position)
     out[position[0], position[1], position[2], position[3]] = np.nan

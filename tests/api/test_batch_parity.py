@@ -27,10 +27,9 @@ from tests.support.oracles import parallel_infer_reference
 
 def assert_bitwise_parity(batch, singles, reports=False):
     """``reports=True`` additionally requires each batch result's
-    ``reliable_report`` to be the serial report counter-for-counter
-    (``elapsed_seconds`` aside) -- only meaningful when batch and
-    serial runs share one deterministic execution, not when each run
-    draws its own fault stream."""
+    ``reliable_report`` to be the serial report counter-for-counter --
+    only meaningful when batch and serial runs share one deterministic
+    execution, not when each run draws its own fault stream."""
     assert len(batch) == len(singles)
     for got, want in zip(batch, singles):
         np.testing.assert_array_equal(got.probabilities, want.probabilities)

@@ -6,28 +6,22 @@ import json
 
 import pytest
 
-from repro.api import (
-    Architecture,
-    PartitionConfig,
-    PipelineConfig,
-    QualifierConfig,
-    Redundancy,
-)
+from repro.api import Architecture, PipelineConfig, QualifierConfig
+from repro.core import HybridPartition
 
 
 class TestQualifierConfig:
     def test_defaults_mirror_shape_qualifier(self):
         config = QualifierConfig()
-        assert config.kind == "shape"
         assert config.shape == "octagon"
         assert config.word_length == 32
         assert config.alphabet_size == 8
         assert config.redundant is True
 
     @pytest.mark.parametrize("kwargs", [
-        {"kind": ""},
         {"word_length": 0},
         {"alphabet_size": 1},
+        {"alphabet_size": 100},
         {"threshold": -0.1},
         {"n_samples": 16, "word_length": 32},
     ])
@@ -48,35 +42,33 @@ class TestQualifierConfig:
             QualifierConfig.from_dict({"worliength": 16})
 
 
-class TestPartitionConfig:
-    def test_defaults_match_core_partition(self):
-        partition = PartitionConfig().to_partition()
+class TestHybridPartition:
+    def test_defaults_are_the_papers_sobel_pair(self):
+        partition = HybridPartition()
         assert partition.reliable_filters == {"conv1": (0, 1)}
         assert partition.bifurcation_layer == "conv1"
         assert partition.redundancy == "dmr"
 
     def test_json_lists_normalise_to_tuples(self):
-        config = PartitionConfig(reliable_filters={"conv1": [0, 2]})
-        assert config.reliable_filters == {"conv1": (0, 2)}
+        partition = HybridPartition(reliable_filters={"conv1": [0, 2]})
+        assert partition.reliable_filters == {"conv1": (0, 2)}
 
-    def test_core_validation_applies(self):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            PartitionConfig(reliable_filters={"conv2": (0,)})
+            HybridPartition(reliable_filters={"conv2": (0,)})
         with pytest.raises(ValueError):
-            PartitionConfig(redundancy="qmr")
-
-    def test_redundancy_enum_coerces(self):
-        config = PartitionConfig(redundancy=Redundancy.TMR)
-        assert config.redundancy == "tmr"
+            HybridPartition(redundancy="qmr")
+        with pytest.raises(ValueError, match="unknown keys"):
+            HybridPartition.from_dict({"redundnacy": "tmr"})
 
     def test_round_trip(self):
-        config = PartitionConfig(
+        partition = HybridPartition(
             reliable_filters={"conv1": (1, 3)}, redundancy="tmr"
         )
-        clone = PartitionConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
+        clone = HybridPartition.from_dict(
+            json.loads(json.dumps(partition.to_dict()))
         )
-        assert clone == config
+        assert clone == partition
 
 
 class TestPipelineConfig:
@@ -88,9 +80,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(architecture="")
         with pytest.raises(ValueError):
+            PipelineConfig(architecture="shadow")
+        with pytest.raises(ValueError):
             PipelineConfig(safety_class=-1)
         with pytest.raises(TypeError):
-            PipelineConfig(qualifier={"kind": "shape"})
+            PipelineConfig(qualifier={"shape": "octagon"})
         with pytest.raises(TypeError):
             PipelineConfig(partition={"bifurcation_layer": "conv1"})
 
@@ -105,7 +99,7 @@ class TestPipelineConfig:
         config = PipelineConfig(
             architecture="integrated",
             qualifier=QualifierConfig(threshold=2.0),
-            partition=PartitionConfig(redundancy="tmr"),
+            partition=HybridPartition(redundancy="tmr"),
             pin_sobel=True,
         )
         clone = PipelineConfig.from_dict(
@@ -117,13 +111,11 @@ class TestPipelineConfig:
 
 class TestPartitionEngineField:
     def test_default_is_auto(self):
-        config = PartitionConfig()
-        assert config.engine == "auto"
-        assert config.to_partition().engine == "auto"
+        assert HybridPartition().engine == "auto"
 
     def test_explicit_engine_round_trips(self):
-        config = PartitionConfig(engine="vectorized")
-        clone = PartitionConfig.from_dict(
+        config = HybridPartition(engine="vectorized")
+        clone = HybridPartition.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )
         assert clone == config
@@ -131,7 +123,7 @@ class TestPartitionEngineField:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
-            PartitionConfig(engine="warp-drive")
+            HybridPartition(engine="warp-drive")
 
     def test_scalar_engine_reaches_reliable_executor(self):
         from repro.api import PipelineConfig, build_pipeline
@@ -140,7 +132,7 @@ class TestPartitionEngineField:
         pipeline = build_pipeline(
             PipelineConfig(
                 architecture="integrated",
-                partition=PartitionConfig(engine="scalar"),
+                partition=HybridPartition(engine="scalar"),
             ),
             small_cnn(32, 8, conv1_filters=8),
         )

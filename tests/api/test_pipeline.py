@@ -14,6 +14,7 @@ from repro.api import (
 )
 from repro.core import (
     Decision,
+    HybridPartition,
     IntegratedHybridCNN,
     ParallelHybridCNN,
     ShapeQualifier,
@@ -41,14 +42,12 @@ class TestBuildPipeline:
         assert pipeline.model is model
         assert isinstance(pipeline.qualifier, ShapeQualifier)
         assert pipeline.safety_class == STOP_CLASS_INDEX
-        assert pipeline.supports_qualifier_views
 
     def test_integrated(self, model):
         pipeline = build_pipeline(
             PipelineConfig(architecture="integrated"), model
         )
         assert isinstance(pipeline.hybrid, IntegratedHybridCNN)
-        assert not pipeline.supports_qualifier_views
 
     def test_qualifier_config_is_applied(self, model):
         pipeline = build_pipeline(
@@ -85,27 +84,23 @@ class TestBuildPipeline:
                 PipelineConfig(architecture="parallel", pin_sobel=True),
                 small_cnn(32, 8, conv1_filters=8),
             )
-        from repro.api import PartitionConfig
-
         with pytest.raises(ValueError, match="parallel"):
             build_pipeline(
                 PipelineConfig(
                     architecture="parallel",
                     pin_sobel=True,
-                    partition=PartitionConfig(),
+                    partition=HybridPartition(),
                 ),
                 small_cnn(32, 8, conv1_filters=8),
             )
 
     def test_pin_sobel_requires_two_filters(self):
-        from repro.api import PartitionConfig
-
         with pytest.raises(ValueError, match="two reliable filters"):
             build_pipeline(
                 PipelineConfig(
                     architecture="integrated",
                     pin_sobel=True,
-                    partition=PartitionConfig(
+                    partition=HybridPartition(
                         reliable_filters={"conv1": (0,)}
                     ),
                 ),

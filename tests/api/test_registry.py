@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import (
-    ARCHITECTURES,
-    BASELINES,
     OPERATORS,
-    QUALIFIERS,
-    PipelineConfig,
     Registry,
     RegistryError,
     build_baseline,
     build_operator,
-    build_pipeline,
 )
 from repro.baselines import ActivationRangeGuard, OutputCage
 from repro.models import small_cnn
@@ -61,13 +55,6 @@ class TestRegistry:
 
 
 class TestBuiltinRegistrations:
-    def test_architectures(self):
-        assert "parallel" in ARCHITECTURES
-        assert "integrated" in ARCHITECTURES
-
-    def test_qualifiers(self):
-        assert "shape" in QUALIFIERS
-
     def test_operators_back_the_reliable_kinds(self):
         assert isinstance(build_operator("plain"), PlainOperator)
         assert isinstance(build_operator("dmr"), RedundantOperator)
@@ -130,33 +117,3 @@ class TestPluggableOperator:
 
         with pytest.raises(RegistryError, match="already registered"):
             OPERATORS.register("dmr", RedundantOperator)
-
-
-class TestPluggableArchitecture:
-    """A new scenario registers without touching repro.core."""
-
-    def test_custom_architecture_builds_through_factory(self):
-        class EchoHybrid:
-            def __init__(self, model, qualifier, safety_class):
-                self.model = model
-                self.qualifier = qualifier
-                self.safety_class = safety_class
-
-            def infer(self, image):
-                return "echo"
-
-        try:
-            @ARCHITECTURES.register("echo-test")
-            def build_echo(model, qualifier, config):
-                return EchoHybrid(model, qualifier, config.safety_class)
-
-            model = small_cnn(32, 8, conv1_filters=4)
-            pipeline = build_pipeline(
-                PipelineConfig(architecture="echo-test", safety_class=2),
-                model,
-            )
-            assert isinstance(pipeline.hybrid, EchoHybrid)
-            assert pipeline.hybrid.safety_class == 2
-            assert pipeline.infer(np.zeros((3, 32, 32))) == "echo"
-        finally:
-            ARCHITECTURES._entries.pop("echo-test", None)

@@ -1,6 +1,5 @@
 """Catalog store + CLI behaviour: ingest idempotence, validation,
-kind sniffing, queries, and agreement with the producer-side timing
-schema.
+kind sniffing and queries.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import pytest
 
 from benchmarks.timing_schema import (
     ARTIFACT_DIR_ENV,
-    validate_timing_payload,
     write_timing_artifact,
 )
 from repro.catalog import (
@@ -96,28 +94,6 @@ def test_invalid_artifacts_rejected_with_reasons():
         with pytest.raises(CatalogError, match="spec_name"):
             store.ingest(campaign_payload(spec_name=""), name="bad")
         assert len(store) == 0  # nothing malformed was filed
-
-
-def test_validation_agrees_with_producer_schema():
-    """The catalog's consumer-side mirror and the benches' producer
-    schema accept and reject the same timing payloads."""
-    cases = [
-        timing_payload(),
-        timing_payload(batch="64"),
-        timing_payload(serial_seconds=float("inf")),
-        timing_payload(bench=""),
-        {"bench": "x", "batch": 1, "only_seconds": 1.0},
-        timing_payload(min_x_asserted=-2.0),
-    ]
-    with CatalogStore() as store:
-        for case in cases:
-            producer_ok = not validate_timing_payload(case)
-            try:
-                store.ingest(dict(case), name="case")
-                consumer_ok = True
-            except CatalogError:
-                consumer_ok = False
-            assert producer_ok == consumer_ok, case
 
 
 def test_metrics_and_trend_queries():

@@ -3,10 +3,10 @@
 CI uploads every ``benchmarks/test_*`` timing JSON; perf tooling
 parses them without knowing which bench wrote what.  This tier-1 test
 pins the contract from three sides: the shared schema itself
-(:mod:`benchmarks.timing_schema`), the benches' source (every bench
-that emits a timing artifact must route it through the validating
-writer -- no bespoke ``json.dumps`` side channels), and any artifacts
-already on disk.
+(:mod:`repro.catalog.schema`), the benches' source (every bench that
+emits a timing artifact must route it through the validating writer
+of :mod:`benchmarks.timing_schema` -- no bespoke ``json.dumps`` side
+channels), and any artifacts already on disk.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.timing_schema import (
-    validate_timing_payload,
-    write_timing_artifact,
-)
+from benchmarks.timing_schema import write_timing_artifact
+from repro.catalog.schema import validate_timing_payload
 
 REPO = Path(__file__).resolve().parents[2]
 BENCH_DIR = REPO / "benchmarks"

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import PipelineConfig
 from repro.core import (
     Decision,
-    HybridPartition,
     IntegratedHybridCNN,
     ParallelHybridCNN,
     ReliabilityGuarantee,
@@ -38,8 +38,11 @@ def shipped_hybrid(tmp_path_factory):
     conv1.set_filter(0, sobel_axis_stack("x", conv1.kernel_size, 3))
     conv1.set_filter(1, sobel_axis_stack("y", conv1.kernel_size, 3))
     graph = export_hybrid(
-        model, HybridPartition(), ShapeQualifier(),
-        STOP_CLASS_INDEX, (3, 128, 128),
+        model,
+        PipelineConfig(
+            architecture="integrated", safety_class=STOP_CLASS_INDEX
+        ),
+        (3, 128, 128),
     )
     base = tmp_path_factory.mktemp("ship") / "stopnet"
     save_hybrid(graph, model, base)

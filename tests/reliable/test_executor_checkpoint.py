@@ -35,7 +35,6 @@ class TestReliableConv2D:
         out, report = ReliableConv2D(conv, "plain").forward(batch)
         np.testing.assert_allclose(out, native, atol=1e-6)
         assert report.errors_detected == 0
-        assert report.elapsed_seconds > 0
 
     def test_partial_filters_mix_native_and_reliable(self, conv, batch):
         native = conv.forward(batch)
