@@ -11,10 +11,11 @@ speculate-then-verify design of :mod:`repro.reliable.vectorized`:
 
 1. **Speculate.**  Run the full batched pipeline over ``(n, ...)``
    images in single array passes: batched grayscale/Sobel/threshold
-   (:func:`~repro.vision.edges.edge_map_batch`), array-parallel
-   connected-component labelling
-   (:func:`~repro.vision.contours.label_components_batch`), lockstep
-   Moore tracing of every image's largest component
+   (:func:`~repro.vision.edges.edge_map_batch`), every image's largest
+   8-connected component from one union-find over the stack's
+   foreground pixels
+   (:func:`~repro.vision.contours.largest_component_batch`), lockstep
+   Moore tracing of those components
    (:func:`~repro.vision.contours.trace_boundary_batch`),
    length-grouped series extraction
    (:func:`~repro.vision.series.centroid_distance_series_batch`), one
@@ -43,10 +44,12 @@ stock :class:`~repro.sax.sax.SaxEncoder` (the condition
 :func:`batched_is_exact` checks before
 :meth:`~repro.core.qualifier.ShapeQualifier.check_batch` takes this
 engine), every stage is bitwise identical to the scalar pipeline per
-image: the batched frontend reduces the same contiguous windows
-through the same kernels, the array labeller provably reproduces the
-BFS component numbering, the lockstep Moore trace replays the scalar
-walk's decision rule lane-wise, series extraction groups boundaries by
+image: the batched Sobel runs the scalar correlation's taps in the
+same order (on a finite stack without its zero and unit multiplies,
+which changes at most the sign of a zero that the magnitude drops),
+the union-find's roots are the BFS seeds, so it selects the same
+largest component, the lockstep Moore trace replays the scalar walk's
+decision rule lane-wise, series extraction groups boundaries by
 length so every row reduction walks the scalar summation tree, and the
 batched SAX/MINDIST forms reduce the same contiguous rows (see
 ``tests/core/test_qualifier_batch.py`` and the randomized differential

@@ -8,17 +8,21 @@ Two labelling implementations coexist, with identical outputs:
 
 * :func:`label_components` -- the per-pixel BFS, paper-faithful and
   trivially auditable; the scalar qualifier path keeps it.
-* :func:`label_components_array` / :func:`label_components_batch` --
-  iterative minimum-label propagation with pointer jumping over whole
-  offset arrays (the classic array-parallel connected-components
-  scheme).  Every pixel starts labelled with its own flat index, each
-  sweep takes the minimum over the 8-neighbourhood, and a
-  pointer-jump step short-circuits label chains; at the fixpoint every
-  pixel holds its component's minimum flat index.  Renumbering those
-  representatives in ascending order reproduces the BFS numbering
-  *exactly* (a BFS seed is precisely a component's first row-major --
-  i.e. minimum-flat-index -- pixel), so the two functions are
-  interchangeable bit for bit.
+* :func:`label_components_batch` / :func:`largest_component_batch`
+  (and :func:`label_components_array` for one mask) -- one union-find
+  over the list of foreground pixels of a whole ``(n, h, w)`` stack.
+  A background row below and a background column to the right of
+  every image make the four forward neighbours (E, SW, S, SE) fixed
+  flat-index offsets that cannot wrap across a row or an image; an
+  int32 node map links each foreground pixel to those of its forward
+  neighbours that are foreground; pointer doubling and hooking of the
+  larger root onto the smaller converge every root to its component's
+  first row-major pixel, which is exactly the pixel a BFS seeds the
+  component from.  Numbering components by ascending root therefore
+  reproduces the BFS numbering, and the largest component is the
+  root with the most pixels, ties going to the smallest root -- the
+  lowest BFS label.  Work and memory follow the foreground count, not
+  ``n * h * w``.
 """
 
 from __future__ import annotations
@@ -113,48 +117,46 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, current
 
 
-#: The four directed neighbour offsets that, with their mirrors, span
-#: the 8-neighbourhood (E, S, SE, SW); undirected edges need one
-#: direction only.
-_EDGE_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
+def _component_roots(
+    masks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union-find over the foreground pixels of an ``(n, h, w)`` stack.
 
+    Returns ``(pixels, image, roots)``: the flat indices of the
+    foreground pixels in the stack framed by one background row below
+    and one background column to the right of every image (shape
+    ``(n, h + 1, w + 1)``), ascending; the image each pixel belongs to;
+    and the node number of each pixel's component root.  Node ``k`` is
+    ``pixels[k]``, so node order is row-major order within each image
+    and images follow each other.
 
-def _resolve_min_labels(masks: np.ndarray) -> np.ndarray:
-    """Component-minimum flat indices for an ``(n, h, w)`` mask stack.
-
-    Returns an int64 ``(n, h, w)`` array holding, for every foreground
-    pixel, the minimum per-image flat index of its 8-connected
-    component; background pixels hold the sentinel ``h * w``.
-
-    Union-find over offset arrays: foreground pixels become nodes
-    (numbered in row-major order, images concatenated -- so node order
-    is flat-index order within each image), adjacency comes from four
-    shifted mask overlaps, and components resolve by alternating
-    pointer doubling (full path compression) with minimum-hooking of
-    edge endpoints' roots.  Hooking always points the larger root at
-    the smaller, so every root converges to its component's minimum
-    node -- i.e. the component's first row-major pixel, the exact
-    pixel a BFS would have seeded from.
+    In the framed stack the four forward neighbours E, SW, S and SE of
+    any foreground pixel are the flat offsets ``1``, ``w``, ``w + 1``
+    and ``w + 2``: a step that would leave a row or an image lands in
+    the frame, which is background, so no link can wrap.  An int32 node
+    map turns each linked neighbour into its node number.  Components
+    then resolve by alternating pointer doubling (full path
+    compression) with hooking every still-split link's larger root onto
+    the smaller, so each root converges to its component's minimum node
+    -- the component's first row-major pixel, where a BFS would have
+    seeded it.
     """
     n, h, w = masks.shape
-    sentinel = np.int64(h * w)
-    representatives = np.full((n, h, w), sentinel, dtype=np.int64)
-    img, rows, cols = np.nonzero(masks)
-    total = len(img)
-    if total == 0:
-        return representatives
-    node_of = np.empty((n, h, w), dtype=np.int32)
-    node_of[img, rows, cols] = np.arange(total, dtype=np.int32)
+    fw = w + 1
+    framed = np.zeros((n, h + 1, fw), dtype=bool)
+    framed[:, :h, :w] = masks
+    cells = framed.ravel()
+    pixels = np.flatnonzero(cells)
+    total = len(pixels)
+    node_of = np.empty(cells.size, dtype=np.int32)
+    node_of[pixels] = np.arange(total, dtype=np.int32)
     heads: list[np.ndarray] = []
     tails: list[np.ndarray] = []
-    for dr, dc in _EDGE_OFFSETS:
-        a_r = slice(max(0, -dr), h - max(0, dr))
-        a_c = slice(max(0, -dc), w - max(0, dc))
-        b_r = slice(max(0, dr), h - max(0, -dr))
-        b_c = slice(max(0, dc), w - max(0, -dc))
-        both = masks[:, a_r, a_c] & masks[:, b_r, b_c]
-        heads.append(node_of[:, a_r, a_c][both])
-        tails.append(node_of[:, b_r, b_c][both])
+    for offset in (1, fw - 1, fw, fw + 1):  # E, SW, S, SE
+        neighbours = pixels + offset
+        linked = cells[neighbours]
+        heads.append(np.flatnonzero(linked).astype(np.int32))
+        tails.append(node_of[neighbours[linked]])
     edge_a = np.concatenate(heads)
     edge_b = np.concatenate(tails)
     parent = np.arange(total, dtype=np.int32)
@@ -172,12 +174,21 @@ def _resolve_min_labels(masks: np.ndarray) -> np.ndarray:
         live = lo != hi
         if not live.any():
             break
-        # Hook every still-split edge's larger root onto the smaller;
+        # Hook every still-split link's larger root onto the smaller;
         # minimum.at resolves duplicate targets deterministically.
         np.minimum.at(parent, hi[live], lo[live])
-    roots = parent
-    representatives[img, rows, cols] = rows[roots] * w + cols[roots]
-    return representatives
+    return pixels, pixels // ((h + 1) * fw), parent
+
+
+def _unframe(
+    values: np.ndarray, pixels: np.ndarray, shape: tuple[int, int, int]
+) -> np.ndarray:
+    """Scatter per-pixel ``values`` into an ``(n, h, w)`` array (zero
+    elsewhere), undoing :func:`_component_roots`' framing."""
+    n, h, w = shape
+    framed = np.zeros(n * (h + 1) * (w + 1), dtype=values.dtype)
+    framed[pixels] = values
+    return np.ascontiguousarray(framed.reshape(n, h + 1, w + 1)[:, :h, :w])
 
 
 def label_components_batch(
@@ -188,71 +199,50 @@ def label_components_batch(
     Returns ``(labels, counts)``: per-image label maps (0 background,
     1..counts[i] components) and the per-image component counts.  Each
     image's labelling is identical to :func:`label_components` on that
-    image (see the module docstring for why the numbering agrees).
+    image: its components are numbered in ascending root order, and a
+    root is the component's first row-major pixel, the BFS seed.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3:
         raise ValueError(f"expected (n, h, w) masks, got {masks.shape}")
-    n, h, w = masks.shape
-    labels = np.zeros((n, h, w), dtype=np.int32)
-    counts = np.zeros(n, dtype=np.int64)
-    if masks.size == 0 or not masks.any():
-        return labels, counts
-    representatives = _resolve_min_labels(masks)
-    for i in range(n):
-        fg = masks[i]
-        if not fg.any():
-            continue
-        unique, inverse = np.unique(
-            representatives[i][fg], return_inverse=True
-        )
-        labels[i][fg] = inverse.astype(np.int32) + 1
-        counts[i] = len(unique)
-    return labels, counts
+    pixels, image, roots = _component_roots(masks)
+    root_nodes = np.flatnonzero(roots == np.arange(len(roots)))
+    counts = np.bincount(image[root_nodes], minlength=len(masks))
+    first_label = np.cumsum(counts) - counts
+    labels = np.searchsorted(root_nodes, roots) - first_label[image] + 1
+    return _unframe(labels.astype(np.int32), pixels, masks.shape), counts
 
 
 def largest_component_batch(
     masks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest 8-connected component of each mask in an ``(n, h, w)``
-    stack, without materialising full label maps.
+    stack, without materialising label maps.
 
     Returns ``(components, found)``: per-image boolean masks of the
     largest component (all-False where the image has no foreground)
     and the per-image foreground indicator.  Selection is identical to
     ``largest_component(label_components(mask)[0])``: component sizes
-    come from the same pixel partition, and ties break towards the
-    component whose representative (minimum flat index, i.e. first
-    row-major pixel) is smallest -- the lowest BFS label -- because
-    ``np.unique`` sorts representatives ascending and ``argmax`` takes
-    the first maximum.
+    are the root sizes of the same pixel partition, and ties break
+    towards the smallest root -- the component whose first row-major
+    pixel comes first, the lowest BFS label.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3:
         raise ValueError(f"expected (n, h, w) masks, got {masks.shape}")
-    components = np.zeros(masks.shape, dtype=bool)
-    found = masks.any(axis=(1, 2))
-    if not found.any():
-        return components, found
-    n, h, w = masks.shape
-    representatives = _resolve_min_labels(masks)
-    # Per-image component sizes as one global bincount over
-    # image-offset representative keys.  argmax over each image's row
-    # returns the smallest representative among tied maxima -- the
-    # same tie-break as the sorted-unique formulation (ascending
-    # representatives, first maximum), which is the lowest BFS label.
-    img, rows, cols = np.nonzero(masks)
-    keys = img * np.int64(h * w) + representatives[img, rows, cols]
-    sizes = np.bincount(keys, minlength=n * h * w).reshape(n, h * w)
-    best = sizes.argmax(axis=1)
-    # Background pixels hold the sentinel h * w, never a representative
-    # (representatives are flat indices < h * w), so the comparison
-    # selects foreground only; images without foreground stay all-False
-    # because `best` can only address counted (foreground) keys there
-    # -- their whole row is zero, argmax returns 0, and no pixel of an
-    # empty mask holds representative 0.
-    components = representatives == best[:, None, None]
-    components[~found] = False
+    pixels, image, roots = _component_roots(masks)
+    sizes = np.bincount(roots, minlength=len(roots))
+    root_nodes = np.flatnonzero(sizes)
+    # Image ascending, then size descending, then root ascending: each
+    # image's first root in this order is its largest, earliest one.
+    order = root_nodes[
+        np.lexsort((root_nodes, -sizes[root_nodes], image[root_nodes]))
+    ]
+    firsts = np.flatnonzero(np.diff(image[order], prepend=-1))
+    best = np.full(len(masks), -1, dtype=np.int64)
+    best[image[order[firsts]]] = order[firsts]
+    found = best >= 0
+    components = _unframe(roots == best[image], pixels, masks.shape)
     return components, found
 
 

@@ -149,13 +149,76 @@ def gradient_magnitude(image: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
+#: ``(row, col, weight)`` of every nonzero tap of Sobel-x and of
+#: Sobel-y, in row-major order: the finite-stack schedules of
+#: :func:`gradient_magnitude_batch`.  Every weight is +-1 or +-2.
+_SOBEL_TAPS = tuple(
+    tuple((u, v, int(k)) for (u, v), k in np.ndenumerate(kernel) if k)
+    for kernel in (SOBEL_X, SOBEL_Y)
+)
+
+
+def _correlate_unit_taps(
+    padded: np.ndarray,
+    doubled: np.ndarray,
+    taps: tuple[tuple[int, int, int], ...],
+) -> np.ndarray:
+    """:func:`_correlate_taps` for a finite stack padded by one pixel
+    and a schedule from ``_SOBEL_TAPS``.
+
+    The first tap starts the sum as its window or the window's
+    negation; each later tap adds or subtracts its window, taken from
+    ``padded`` for weight +-1 and from ``doubled = padded + padded``
+    for weight +-2.
+    """
+    _, hp, wp = padded.shape
+    h, w = hp - 2, wp - 2
+    windows = [
+        ((doubled if abs(weight) == 2 else padded)[:, u : u + h, v : v + w],
+         weight)
+        for u, v, weight in taps
+    ]
+    (first, weight), *rest = windows
+    acc = np.negative(first) if weight < 0 else first.copy()
+    for window, weight in rest:
+        if weight < 0:
+            acc -= window
+        else:
+            acc += window
+    return acc
+
+
 def gradient_magnitude_batch(images: np.ndarray) -> np.ndarray:
     """Sobel gradient magnitudes of an ``(n, h, w)`` greyscale stack.
 
-    Bitwise identical per image to :func:`gradient_magnitude` by
-    construction: both derivative responses run the shared
-    tap-sequential correlation (:func:`_correlate_taps`).
+    Bitwise identical per image to :func:`gradient_magnitude`.  A stack
+    holding any inf or NaN runs the same tap-sequential correlation
+    (:func:`correlate2d_batch`).  A finite stack runs each Sobel kernel
+    in the same row-major tap order with fewer passes: it skips the
+    zero taps, applies a +-1 tap as one add or subtract of the shifted
+    window, and a +-2 tap as an add or subtract of ``window + window``
+    (taken from one doubled copy of the padded stack).  On finite
+    input ``0 * x`` is a signed zero, ``+-1 * x`` is ``+-x`` and
+    ``2 * x`` is ``x + x`` bit for bit, overflow included, so each
+    derivative response equals the generic one except possibly in the
+    sign of a zero -- which ``np.hypot`` discards.  Inf or NaN
+    input breaks the first of those (``0 * inf`` is NaN), hence the
+    fallback.
     """
-    gx = correlate2d_batch(images, SOBEL_X)
-    gy = correlate2d_batch(images, SOBEL_Y)
+    images = np.asarray(images, dtype=np.float32)
+    if images.ndim != 3:
+        raise ValueError(
+            f"gradient_magnitude_batch expects (n, h, w) images, "
+            f"got {images.shape}"
+        )
+    if np.isfinite(images).all():
+        padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        doubled = padded + padded
+        gx, gy = (
+            _correlate_unit_taps(padded, doubled, taps)
+            for taps in _SOBEL_TAPS
+        )
+    else:
+        gx = correlate2d_batch(images, SOBEL_X)
+        gy = correlate2d_batch(images, SOBEL_Y)
     return np.hypot(gx, gy)

@@ -223,6 +223,68 @@ class TestArrayLabelling:
         ))
 
 
+class TestLabellerWrapBoundaries:
+    """Pixels that are neighbours in flat-index order but not in the
+    image must not be linked: the batched labeller finds neighbours by
+    flat offsets, so a row end next to the next row's start, or one
+    image's last pixel next to the next image's first, is exactly where
+    a missing frame would merge components."""
+
+    @staticmethod
+    def _masks() -> np.ndarray:
+        n, h, w = 8, 5, 6
+        masks = np.zeros((n, h, w), dtype=bool)
+        # (r, w-1) then (r+1, 0): one flat step apart (E), and
+        # (r, 0) / (r, w-1) on one row: w-1 steps apart (SW).
+        masks[0, 0:3, w - 1] = True
+        masks[0, 1:4, 0] = True
+        # (r, w-1) and (r+2, 0): w+1 steps apart (SE).
+        masks[1, 1, w - 1] = True
+        masks[1, 3, 0] = True
+        masks[1, 3, 1] = True
+        # Image 2 stays background.
+        # Last pixel of image 3 next to the first pixel of image 4,
+        # and image 3's bottom row one row (S) above image 4's top row.
+        masks[3, h - 1, :] = True
+        masks[4, 0, :] = True
+        masks[4, h - 1, w - 1] = True
+        # Images 5 and 6 stay background; image 7 starts with its
+        # first pixel set after image 4 ended with its last one.
+        masks[7, 0, 0] = True
+        masks[7, 2:4, 2:5] = True
+        return masks
+
+    def test_label_components_batch_matches_bfs(self):
+        from repro.vision.contours import label_components_batch
+
+        masks = self._masks()
+        labels, counts = label_components_batch(masks)
+        for i, mask in enumerate(masks):
+            want_labels, want_count = label_components(mask)
+            assert counts[i] == want_count, f"image {i}"
+            np.testing.assert_array_equal(
+                labels[i], want_labels, err_msg=f"image {i}"
+            )
+
+    def test_largest_component_batch_matches_bfs(self):
+        from repro.vision.contours import (
+            largest_component,
+            largest_component_batch,
+        )
+
+        masks = self._masks()
+        components, found = largest_component_batch(masks)
+        for i, mask in enumerate(masks):
+            assert found[i] == mask.any(), f"image {i}"
+            if not mask.any():
+                assert not components[i].any(), f"image {i}"
+                continue
+            want, _ = largest_component(label_components(mask)[0])
+            np.testing.assert_array_equal(
+                components[i], want, err_msg=f"image {i}"
+            )
+
+
 class TestBatchedFrontendParity:
     """Batched edge/dilate twins equal their scalar forms exactly."""
 

@@ -3,8 +3,9 @@
 The batched qualifier engine stands on three vectorized primitives
 whose outputs must equal their scalar references exactly:
 
-* :func:`largest_component_batch` (bincount selection over union-find
-  representatives) vs BFS ``label_components`` + ``largest_component``;
+* :func:`largest_component_batch` (root sizes of one union-find over
+  the foreground pixels) vs BFS ``label_components`` +
+  ``largest_component``;
 * :func:`trace_boundary_batch` (lockstep Moore walk) vs the sequential
   ``trace_boundary``;
 * :func:`centroid_distance_series_batch` (length-grouped row-wise
@@ -16,7 +17,8 @@ dense-blob geometries at random rectangle sizes.
 The frontend batch forms (grayscale, correlation, Sobel, edge maps,
 labelling, dilation) carry the same contract and are fuzzed here
 against their scalar references on mixed rendered/noise/degenerate
-image batches.
+image batches; the batched Sobel also on stacks that overflow to
+inf/NaN inside the taps and on stacks holding inf or NaN pixels.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.vision.series import (
 )
 from tests.support.fuzz import (
     assert_arrays_bitwise_equal,
+    case_rng,
     differential_cases,
     random_image_batch,
     random_mask_batch,
@@ -139,6 +142,79 @@ def test_vision_frontend_batches_match_scalar_references(rng):
             binary_dilate(masks_default[i], iterations=iterations),
             context,
         )
+
+
+def _huge_stack(rng: np.random.Generator) -> np.ndarray:
+    """Finite pixels up to ~3e38: ``x + x`` and the tap sums overflow
+    to inf, and inf - inf turns a tap sum into NaN."""
+    n, h, w = (int(v) for v in rng.integers(2, 12, size=3))
+    return (rng.uniform(-3e38, 3e38, size=(n, h, w))).astype(np.float32)
+
+
+#: Non-finite pixel kinds.  A stack draws from one kind only: where
+#: an input NaN meets a NaN the taps generate (``0 * inf``,
+#: ``inf - inf``), NumPy's loops pick which of the two NaN words to
+#: keep by array shape, so ``correlate2d_batch`` and ``correlate2d``
+#: can disagree in the NaN sign (the "NaN payloads across engines"
+#: ROADMAP item).  With one kind, every NaN in a stack is one word.
+_NON_FINITE_KINDS = ((np.inf, -np.inf), (np.nan,))
+
+
+def _non_finite_stack(rng: np.random.Generator) -> np.ndarray:
+    """Ordinary pixels with +-inf, or NaN, scattered in."""
+    n, h, w = (int(v) for v in rng.integers(2, 12, size=3))
+    images = rng.standard_normal((n, h, w)).astype(np.float32)
+    kind = _NON_FINITE_KINDS[int(rng.integers(len(_NON_FINITE_KINDS)))]
+    flat = images.reshape(-1)
+    spots = rng.choice(flat.size, size=3 * n, replace=False)
+    flat[spots] = rng.choice(kind, size=len(spots))
+    return images
+
+
+def _mixed_stack(rng: np.random.Generator) -> np.ndarray:
+    """Finite images with one non-finite image among them."""
+    n, h, w = (int(v) for v in rng.integers(3, 12, size=3))
+    images = rng.standard_normal((n, h, w)).astype(np.float32)
+    bad = int(rng.integers(n))
+    kind = _NON_FINITE_KINDS[int(rng.integers(len(_NON_FINITE_KINDS)))]
+    for _ in range(int(rng.integers(1, 4))):
+        r, c = (int(v) for v in rng.integers(0, (h, w)))
+        images[bad, r, c] = rng.choice(kind)
+    return images
+
+
+_EXTREME_STACKS = {
+    "huge": _huge_stack,
+    "non_finite": _non_finite_stack,
+    "mixed": _mixed_stack,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EXTREME_STACKS))
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"case{i:02d}")
+def test_sobel_batch_matches_scalar_on_extreme_stacks(kind, index):
+    """The finite-stack Sobel schedule at overflow, and the non-finite
+    fallback, equal the scalar reference bit for bit per image."""
+    images = _EXTREME_STACKS[kind](case_rng(index, root_seed=271828))
+    finite = images[np.isfinite(images)]
+    threshold = float(np.abs(finite).max()) if finite.size else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = gradient_magnitude_batch(images)
+        masks_default = edge_map_batch(images)
+        masks_fixed = edge_map_batch(images, threshold=threshold)
+        for i, image in enumerate(images):
+            context = f"image {i} of {images.shape}"
+            assert_arrays_bitwise_equal(
+                magnitude[i], gradient_magnitude(image), context
+            )
+            assert_arrays_bitwise_equal(
+                masks_default[i], edge_map(image), context
+            )
+            assert_arrays_bitwise_equal(
+                masks_fixed[i], edge_map(image, threshold=threshold),
+                context,
+            )
+    assert not np.isfinite(magnitude).all()
 
 
 def test_series_batch_rejects_degenerate_contours():

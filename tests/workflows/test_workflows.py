@@ -6,6 +6,8 @@ fixture keeps them fast.
 
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -29,19 +31,27 @@ from repro.workflows.shape_series import (
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_table1(full=False, seed=0)
+    def runs(self):
+        # Three scaled runs (~1 s each), so wall-clock asserts can take
+        # the median instead of one sample on a noisy host.
+        return [run_table1(full=False, seed=0) for _ in range(3)]
+
+    @pytest.fixture(scope="class")
+    def result(self, runs):
+        return runs[0]
 
     def test_ordering_matches_paper(self, result):
         """native << plain < redundant (the paper's Table 1 shape)."""
         assert result.native_seconds < result.plain_seconds
         assert result.plain_seconds < result.redundant_seconds
 
-    def test_redundant_ratio_in_band(self, result):
+    def test_redundant_ratio_in_band(self, runs):
         # Paper: 2.15x.  Python wrapper overhead compresses the
-        # wall-clock ratio; it must still land clearly above 1 and
-        # not beyond the theoretical 2.15 plus margin.
-        assert 1.1 < result.redundant_over_plain < 2.6
+        # wall-clock ratio; its median over the runs must still land
+        # clearly above 1 and not beyond the theoretical 2.15 plus
+        # margin.
+        ratio = statistics.median(run.redundant_over_plain for run in runs)
+        assert 1.1 < ratio < 2.6
 
     def test_unit_execution_ratio_exact(self, result):
         assert result.unit_execution_ratio == 2.0
