@@ -14,9 +14,13 @@ Acceptance bars for the batched engine at batch 64:
   (tap-by-tap Sobel, BFS labelling, the sequential Moore walk); the
   batched engine computes the same bits with whole-batch array passes
   (Sobel without zero or unit multiplies, one union-find over the
-  foreground pixels, a lockstep trace).  The conservative bar keeps
+  foreground pixels, a table-driven trace).  The conservative bar keeps
   slow CI machines green while the JSON artifact records the real
   ratio (~2.8x on a 2-vCPU x86-64 host).
+* **Batch of one no slower than scalar.**  A lightly loaded server
+  flushes one request at a time, so 64 ``check_batch`` calls of one
+  image each must take no longer than 64 scalar ``check`` calls, with
+  the same verdicts.
 
 Every run also asserts the batched verdicts are bitwise identical to
 the shipped scalar loop's (the parity contract of
@@ -112,6 +116,19 @@ def _timed(fn, repeats: int = 3):
     return result, best
 
 
+def _assert_same_verdicts(got_verdicts, want_verdicts) -> None:
+    """Bitwise verdict parity: flags, distance storage bits, words,
+    reliability."""
+    assert len(got_verdicts) == len(want_verdicts)
+    for got, want in zip(got_verdicts, want_verdicts):
+        assert got.matches == want.matches
+        assert struct.pack("<d", got.distance) == struct.pack(
+            "<d", want.distance
+        )
+        assert got.word == want.word
+        assert got.reliable == want.reliable
+
+
 def test_batched_qualifier_speedup_and_parity(images):
     batched = ShapeQualifier()
     scalar = ShapeQualifier()
@@ -132,15 +149,8 @@ def test_batched_qualifier_speedup_and_parity(images):
         lambda: [seed.check(image) for image in images]
     )
 
-    # Bitwise parity against the shipped scalar loop: flags, distance
-    # storage bits, words, reliability.
-    for got, want in zip(batch_verdicts, scalar_verdicts):
-        assert got.matches == want.matches
-        assert struct.pack("<d", got.distance) == struct.pack(
-            "<d", want.distance
-        )
-        assert got.word == want.word
-        assert got.reliable == want.reliable
+    # Bitwise parity against the shipped scalar loop.
+    _assert_same_verdicts(batch_verdicts, scalar_verdicts)
 
     speedup_vs_scalar = scalar_seconds / batched_seconds
     speedup_vs_seed = seed_seconds / batched_seconds
@@ -172,6 +182,31 @@ def test_batched_qualifier_speedup_and_parity(images):
         "min_speedup_vs_scalar_asserted": MIN_SPEEDUP_VS_SCALAR,
         "min_speedup_vs_seed_asserted": MIN_SPEEDUP_VS_SEED,
     })
+
+
+def test_batch_of_one_no_slower_than_scalar(images):
+    batched = ShapeQualifier()
+    scalar = ShapeQualifier()
+    batched.check_batch(images[:1])
+    scalar.check(images[0])
+
+    single_verdicts, single_seconds = _timed(
+        lambda: [batched.check_batch(image[None])[0] for image in images]
+    )
+    scalar_verdicts, scalar_seconds = _timed(
+        lambda: [scalar.check(image) for image in images]
+    )
+
+    _assert_same_verdicts(single_verdicts, scalar_verdicts)
+    print(
+        f"\n{BATCH} x batch 1 @ 96px: batched {single_seconds*1e3:.0f}ms, "
+        f"scalar {scalar_seconds*1e3:.0f}ms "
+        f"({single_seconds / scalar_seconds:.2f}x)"
+    )
+    assert single_seconds <= scalar_seconds, (
+        f"{BATCH} batch-of-one checks took {single_seconds:.3f}s, more "
+        f"than {BATCH} scalar checks ({scalar_seconds:.3f}s)"
+    )
 
 
 def test_seed_reference_still_agrees_on_matches(images):

@@ -14,8 +14,8 @@ speculate-then-verify design of :mod:`repro.reliable.vectorized`:
    (:func:`~repro.vision.edges.edge_map_batch`), every image's largest
    8-connected component from one union-find over the stack's
    foreground pixels
-   (:func:`~repro.vision.contours.largest_component_batch`), lockstep
-   Moore tracing of those components
+   (:func:`~repro.vision.contours.largest_component_batch`), a
+   table-driven Moore trace of each of those components
    (:func:`~repro.vision.contours.trace_boundary_batch`),
    length-grouped series extraction
    (:func:`~repro.vision.series.centroid_distance_series_batch`), one
@@ -48,10 +48,11 @@ image: the batched Sobel runs the scalar correlation's taps in the
 same order (on a finite stack without its zero and unit multiplies,
 which changes at most the sign of a zero that the magnitude drops),
 the union-find's roots are the BFS seeds, so it selects the same
-largest component, the lockstep Moore trace replays the scalar walk's
-decision rule lane-wise, series extraction groups boundaries by
-length so every row reduction walks the scalar summation tree, and the
-batched SAX/MINDIST forms reduce the same contiguous rows (see
+largest component, the Moore trace's ``(neighbour code, backtrack)``
+table holds the scalar walk's scan decision for every neighbourhood,
+series extraction groups boundaries by length so every row reduction
+walks the scalar summation tree, and the batched SAX/MINDIST forms
+reduce the same contiguous rows (see
 ``tests/core/test_qualifier_batch.py`` and the randomized differential
 harness in ``tests/support/fuzz.py``).  Subclassed qualifiers or
 encoders may override per-image hooks the batched pipeline would

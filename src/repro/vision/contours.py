@@ -23,6 +23,17 @@ Two labelling implementations coexist, with identical outputs:
   root with the most pixels, ties going to the smallest root -- the
   lowest BFS label.  Work and memory follow the foreground count, not
   ``n * h * w``.
+
+Two Moore traces coexist, with identical outputs:
+
+* :func:`trace_boundary` -- the eight-probe walk, and the reference:
+  each step probes the neighbourhood clockwise from just past the
+  backtrack.  The scalar qualifier path keeps it.
+* :func:`trace_boundary_batch` -- the same walk for every mask of a
+  stack, one table lookup per step: each foreground pixel gets an
+  8-bit code of its foreground neighbours (eight gathers over the
+  foreground list), and ``_WALK`` maps ``(code, backtrack)`` to the
+  scalar scan's ``(direction, new backtrack)``.
 """
 
 from __future__ import annotations
@@ -56,13 +67,26 @@ def _rebase_table() -> list[list[int | None]]:
 
 _REBASE = _rebase_table()
 
-#: The rebase table as an int8 array for vectorized lookup; the None
-#: entries (non-adjacent neighbour pairs) become -1, which the trace
-#: never selects (see :func:`_rebase_table`).
-_REBASE_ARRAY = np.array(
-    [[-1 if v is None else v for v in row] for row in _REBASE],
-    dtype=np.int8,
-)
+
+def _walk_table() -> list[tuple[int, int] | None]:
+    """``_WALK[code * 8 + back]``: the scalar walk's step from a pixel
+    with foreground neighbours ``code`` (bit ``d`` for ``_MOORE[d]``)
+    and backtrack ``back``, as ``(direction, new backtrack)``; None
+    for an isolated pixel."""
+    table: list[tuple[int, int] | None] = []
+    for code in range(256):
+        for back in range(8):
+            move = None
+            for step in range(1, 9):
+                d = (back + step) % 8
+                if code >> d & 1:
+                    move = (d, _REBASE[(back + step - 1) % 8][d])
+                    break
+            table.append(move)
+    return table
+
+
+_WALK = _walk_table()
 
 
 @dataclass
@@ -269,6 +293,8 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     order.  ``mask`` must contain at least one foreground pixel.
     """
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"expected an (h, w) mask, got {mask.shape}")
     coords = np.argwhere(mask)
     if len(coords) == 0:
         raise ValueError("mask contains no foreground pixels")
@@ -328,107 +354,72 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
 def trace_boundary_batch(
     masks: np.ndarray,
 ) -> list[np.ndarray | None]:
-    """Moore-trace every mask of an ``(n, h, w)`` stack in lockstep.
+    """Moore-trace every mask of an ``(n, h, w)`` stack.
 
     Returns one entry per mask: ``None`` where the mask has no
     foreground, otherwise the exact ``(m, 2)`` point array
-    :func:`trace_boundary` produces for that mask.  All walks advance
-    together -- each step probes the eight Moore neighbours of every
-    still-active walk with whole-batch gathers -- so the per-step
-    Python overhead is paid once per *step* instead of once per
-    *boundary pixel*.  The decision rule at each step (clockwise scan
-    from just past the backtrack, first foreground neighbour wins,
-    terminate on state repeat / isolated pixel / start return) is the
-    scalar walk's, applied lane-wise, so the visited sequences are
-    identical by construction; ``tests/vision`` pins the equality on
-    random and degenerate masks.
+    :func:`trace_boundary` produces for that mask (a slice of one
+    coordinate array).  Each mask gets one sequential walk whose step
+    is one byte read of its pixel's Moore code and one ``_WALK``
+    lookup.  The state-repeat, isolated-pixel and start-return exits
+    keep the scalar walk's order, so the visited sequences are
+    identical; ``tests/vision`` checks every 4x4 mask.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3:
         raise ValueError(f"expected (n, h, w) masks, got {masks.shape}")
     n, h, w = masks.shape
-    results: list[np.ndarray | None] = [None] * n
-    if masks.size == 0:
-        return results
+    # The scalar walk's frame: one background pixel on every side, so
+    # each Moore neighbour of a foreground pixel is a flat offset that
+    # stays inside its own image.
     fw = w + 2
-    framed = np.zeros((n, h + 2, fw), dtype=np.uint8)
+    area = (h + 2) * fw
+    framed = np.zeros((n, h + 2, fw), dtype=bool)
     framed[:, 1:-1, 1:-1] = masks
-    cells = framed.reshape(n, -1)
-    flat = masks.reshape(n, -1)
-    counts = flat.sum(axis=1)
-    # Row-major first foreground pixel == the top-most then left-most
-    # start pixel of the scalar trace.
-    first = flat.argmax(axis=1)
-    start_r = first // w
-    start_c = first % w
-    start_pos = (start_r + 1) * fw + (start_c + 1)
-    for i in np.nonzero(counts == 1)[0]:
-        results[i] = np.array(
-            [[int(start_r[i]), int(start_c[i])]], dtype=np.int64
-        )
-    lanes = np.nonzero(counts > 1)[0]
-    if len(lanes) == 0:
-        return results
-    k = len(lanes)
-    moore_flat = np.array([dr * fw + dc for dr, dc in _MOORE],
-                          dtype=np.int64)
-    cells = cells[lanes]
-    pos = start_pos[lanes].astype(np.int64)
-    start = pos.copy()
-    scan_from = np.zeros(k, dtype=np.int64)  # west of start: background
-    seen = np.zeros((k, cells.shape[1] * 8), dtype=bool)
-    capacity = 64
-    out = np.zeros((k, capacity), dtype=np.int64)
-    out[:, 0] = pos
-    lengths = np.ones(k, dtype=np.int64)
-    active = np.arange(k)
-    steps = np.arange(1, 9, dtype=np.int64)
-    while len(active):
-        p = pos[active]
-        s = scan_from[active]
-        state = p * 8 + s
-        # Scalar loop order per lane: check/mark the (pixel, backtrack)
-        # state, scan clockwise from just past the backtrack, advance
-        # to the first foreground neighbour.
-        fresh = ~seen[active, state]
-        seen[active[fresh], state[fresh]] = True
-        active = active[fresh]
-        if not len(active):
-            break
-        p = p[fresh]
-        s = s[fresh]
-        dirs = (s[:, None] + steps[None, :]) % 8
-        neighbours = p[:, None] + moore_flat[dirs]
-        hits = (
-            cells[active[:, None], neighbours] != 0
-        )
-        advanced = hits.any(axis=1)
-        active = active[advanced]
-        if not len(active):
-            break
-        row = np.arange(len(advanced))[advanced]
-        probe = hits[row].argmax(axis=1)  # first foreground direction
-        s = s[advanced]
-        d = (s + probe + 1) % 8
-        # Backtrack = the last scanned background neighbour,
-        # re-expressed as a direction from the advanced-to pixel.
-        scan_from[active] = _REBASE_ARRAY[(s + probe) % 8, d]
-        new_pos = p[advanced] + moore_flat[d]
-        pos[active] = new_pos
-        closing = new_pos == start[active]
-        active = active[~closing]
-        if not len(active):
-            break
-        if lengths[active].max() == capacity:
-            capacity *= 2
-            grown = np.zeros((k, capacity), dtype=np.int64)
-            grown[:, : out.shape[1]] = out
-            out = grown
-        out[active, lengths[active]] = pos[active]
-        lengths[active] += 1
-    for row, i in enumerate(lanes):
-        points = out[row, : lengths[row]]
-        results[i] = np.stack([points // fw - 1, points % fw - 1], axis=1)
+    cells = framed.ravel()
+    pixels = np.flatnonzero(cells)
+    offsets = [dr * fw + dc for dr, dc in _MOORE]
+    bits = cells.view(np.uint8)
+    code = np.zeros(len(pixels), dtype=np.uint8)
+    for d, offset in enumerate(offsets):
+        code |= bits[pixels + offset] << d
+    code_map = np.zeros(cells.size, dtype=np.uint8)
+    code_map[pixels] = code
+    codes = code_map.tobytes()
+    # A mask's first foreground pixel in row-major order is the scalar
+    # walk's top-most, then left-most start.
+    bounds = np.searchsorted(pixels, np.arange(n + 1) * area).tolist()
+    walked: list[int] = []
+    spans: list[tuple[int, int, int]] = []
+    for i in range(n):
+        if bounds[i] == bounds[i + 1]:
+            continue
+        base = i * area
+        lane = codes[base:base + area]
+        pos = start = int(pixels[bounds[i]]) - base
+        back = 0  # west of start: background
+        first = len(walked)
+        walked.append(pos)
+        seen = bytearray(area * 8)
+        while True:
+            state = pos * 8 + back
+            if seen[state]:
+                break
+            seen[state] = 1
+            move = _WALK[lane[pos] * 8 + back]
+            if move is None:  # isolated pixel
+                break
+            d, back = move
+            pos += offsets[d]
+            if pos == start:
+                break
+            walked.append(pos)
+        spans.append((i, first, len(walked)))
+    points = np.array(walked, dtype=np.int64)
+    coords = np.stack([points // fw - 1, points % fw - 1], axis=1)
+    results: list[np.ndarray | None] = [None] * n
+    for i, first, stop in spans:
+        results[i] = coords[first:stop]
     return results
 
 

@@ -76,6 +76,13 @@ class TestTraceBoundary:
         with pytest.raises(ValueError):
             trace_boundary(np.zeros((3, 3), dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3,)])
+    def test_wrong_rank_raises(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        mask.flat[0] = True
+        with pytest.raises(ValueError, match=r"expected an \(h, w\) mask"):
+            trace_boundary(mask)
+
     def test_ring_traces_outer_edge(self):
         outer = disk_mask((40, 40), (20.0, 20.0), 15.0)
         inner = disk_mask((40, 40), (20.0, 20.0), 10.0)

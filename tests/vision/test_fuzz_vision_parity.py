@@ -6,8 +6,9 @@ whose outputs must equal their scalar references exactly:
 * :func:`largest_component_batch` (root sizes of one union-find over
   the foreground pixels) vs BFS ``label_components`` +
   ``largest_component``;
-* :func:`trace_boundary_batch` (lockstep Moore walk) vs the sequential
-  ``trace_boundary``;
+* :func:`trace_boundary_batch` (table-driven Moore walk) vs the
+  eight-probe ``trace_boundary``, also on every 4x4 mask and on stacks
+  not reduced to their largest component;
 * :func:`centroid_distance_series_batch` (length-grouped row-wise
   extraction) vs per-contour ``centroid_distance_series``.
 
@@ -233,3 +234,31 @@ def test_trace_batch_matches_scalar_on_single_pixel():
     mask[0, 2, 3] = True
     [points] = trace_boundary_batch(mask)
     assert_arrays_bitwise_equal(points, trace_boundary(mask[0]))
+
+
+def test_trace_batch_matches_scalar_on_every_4x4_mask():
+    """All 65,536 4x4 masks in one stack: the four interior pixels see
+    every 8-bit neighbour code."""
+    bits = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    masks = bits.astype(bool).reshape(-1, 4, 4)
+    boundaries = trace_boundary_batch(masks)
+    assert boundaries[0] is None
+    for i in range(1, len(masks)):
+        assert_arrays_bitwise_equal(
+            boundaries[i], trace_boundary(masks[i]), f"mask {i:#06x}"
+        )
+
+
+@pytest.mark.parametrize("rng", differential_cases(8, root_seed=161803))
+def test_trace_batch_matches_scalar_on_raw_masks(rng):
+    """Stacks not reduced to their largest component: a start pixel
+    can be isolated while other foreground lies elsewhere."""
+    masks = random_mask_batch(rng)
+    for i, points in enumerate(trace_boundary_batch(masks)):
+        context = f"mask {i} of {masks.shape}"
+        if not masks[i].any():
+            assert points is None, context
+            continue
+        assert_arrays_bitwise_equal(
+            points, trace_boundary(masks[i]), context
+        )
