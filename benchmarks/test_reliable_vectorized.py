@@ -30,6 +30,9 @@ from repro.reliable.executor import ReliableConv2D
 from repro.reliable.operators import RedundantOperator
 
 MIN_SPEEDUP = 20.0
+#: The draw-exact repair must take at most this share of the scalar
+#: repair's time on the bench layer.
+MAX_REPAIR_TIME_SHARE = 1 / 3
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +121,59 @@ def test_vectorized_injection_overhead_stays_bounded(bench_layer):
     assert rep_vector.errors_detected > 0
     assert rep_scalar.errors_detected > 0
     assert vectorized_seconds < scalar_seconds / 5
+
+
+class _ScalarRepair(TransientFault):
+    """A subclass fails the draw-exact gate's exact-type check, so its
+    repairs run scalar ``reliable_convolution``: the reference."""
+
+
+def test_draw_exact_repair_speedup_and_bitwise_parity(bench_layer):
+    """Under DMR transient faults the vectorized engine repairs a
+    disagreeing element by reading the fault stream ahead and sending
+    only the ops a draw hits through the operator.  It must take at
+    most a third of the scalar repair's time (best of 3), and leave
+    every output word, counter, activation and the final generator
+    state as the scalar repair does."""
+    layer, image, _ = bench_layer
+
+    def best_of_three(fault_class):
+        runs = []
+        for _ in range(3):
+            fault = fault_class(1e-3, np.random.default_rng(3))
+            executor = ReliableConv2D(
+                layer,
+                RedundantOperator(FaultyExecutionUnit(fault)),
+                bucket_ceiling=100_000,
+                engine="vectorized",
+            )
+            out, report, seconds = _timed_forward(executor, image)
+            runs.append((seconds, out, report, fault))
+        return min(runs, key=lambda run: run[0])
+
+    def counters(report):
+        return [
+            (r.operations, r.errors_detected, r.rollbacks,
+             r.persistent_failures, r.failed_outputs)
+            for r in [report, *report.per_image]
+        ]
+
+    exact_seconds, out_e, rep_e, fault_e = best_of_three(TransientFault)
+    scalar_seconds, out_s, rep_s, fault_s = best_of_three(_ScalarRepair)
+
+    assert out_e.tobytes() == out_s.tobytes()
+    assert counters(rep_e) == counters(rep_s)
+    assert rep_e.rollbacks > 0
+    assert fault_e.activations == fault_s.activations
+    assert repr(fault_e.rng.bit_generator.state) == repr(
+        fault_s.rng.bit_generator.state
+    )
+    print(
+        f"\ntransient DMR repair: scalar {scalar_seconds * 1e3:.1f} ms, "
+        f"draw-exact {exact_seconds * 1e3:.1f} ms, "
+        f"{scalar_seconds / exact_seconds:.1f}x"
+    )
+    assert exact_seconds <= scalar_seconds * MAX_REPAIR_TIME_SHARE, (
+        f"draw-exact repair {exact_seconds * 1e3:.1f} ms vs scalar "
+        f"repair {scalar_seconds * 1e3:.1f} ms"
+    )

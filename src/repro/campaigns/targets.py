@@ -63,8 +63,11 @@ def _element_runner(engine: str, operator):
     ``"scalar"`` is the per-operation Algorithm 3 loop (the historical
     campaign arithmetic, with its per-op fault stream);
     ``"vectorized"`` speculates the element as array passes with
-    array-level fault injection and repairs through the scalar path on
-    disagreement; ``"auto"`` (default) uses the vectorized form only
+    array-level fault injection and, on disagreement, repairs through
+    a replay of the scalar path (draw-exact under transient faults:
+    only the operations a fault draw hits run through the operator,
+    :func:`repro.reliable.vectorized.repair_is_draw_exact`);
+    ``"auto"`` (default) uses the vectorized form only
     when it is provably bit-identical to scalar.  Stochastic fault
     models (transient, intermittent) therefore stay on the scalar
     path; deterministic stuck-at models may vectorize, with records
@@ -284,7 +287,9 @@ def run_pipeline_trial(ctx: TrialContext) -> TrialRecord:
     # keeps fault-injected trials on the scalar per-operation path --
     # so historical results and the golden pin are bitwise unchanged
     # -- while a cell opting into "vectorized" gets array-level
-    # injection on the speculative passes with scalar repair.
+    # injection on the speculative passes, and repairs that replay
+    # scalar Algorithm 3 draw for draw, sending only the operations a
+    # transient fault hits through the operator.
     engine = ctx.param("engine", "auto")
     key, model, config, image = _pipeline_fixture(ctx)
 

@@ -137,6 +137,21 @@ def flip_bit64(value: float, bit: int) -> float:
     return float(flipped.view(np.float64))
 
 
+def bit_range_bounds(
+    bit_range: tuple[int, int] | None, width: int = 32
+) -> tuple[int, int]:
+    """The ``(low, high)`` bits a flip may hit: ``bit_range``, or the
+    whole ``width``-bit word when it is None.
+
+    Raises ``ValueError`` unless ``0 <= low < high <= width``, so a
+    bad range fails where it is given, not when a fault first fires.
+    """
+    low, high = bit_range if bit_range is not None else (0, width)
+    if not 0 <= low < high <= width:
+        raise ValueError(f"invalid bit_range {bit_range!r} for width {width}")
+    return low, high
+
+
 def random_bitflip(
     value: float,
     rng: np.random.Generator,
@@ -157,9 +172,7 @@ def random_bitflip(
     """
     if width not in (32, 64):
         raise ValueError("width must be 32 or 64")
-    low, high = bit_range if bit_range is not None else (0, width)
-    if not 0 <= low < high <= width:
-        raise ValueError(f"invalid bit_range {bit_range!r} for width {width}")
+    low, high = bit_range_bounds(bit_range, width)
     bit = int(rng.integers(low, high))
     if width == 32:
         return flip_bit32(value, bit)

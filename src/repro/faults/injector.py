@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.bitflip import flip_bit32
+from repro.faults.bitflip import bit_range_bounds, flip_bit32
 from repro.faults.models import FaultModel
 from repro.reliable.execution_unit import (
     ArrayExecutionUnit,
@@ -134,10 +134,10 @@ def corrupt_tensor(
     """
     if n_flips < 0:
         raise ValueError("n_flips must be >= 0")
+    low, high = bit_range_bounds(bit_range)
     corrupted = np.array(tensor, dtype=np.float32, copy=True)
     flat = corrupted.reshape(-1)
     flips: list[tuple[tuple[int, ...], int]] = []
-    low, high = bit_range if bit_range is not None else (0, 32)
     for _ in range(n_flips):
         pos = int(rng.integers(0, flat.size))
         bit = int(rng.integers(low, high))

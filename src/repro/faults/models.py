@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.bitflip import flip_bit32_array, random_bitflip
+from repro.faults.bitflip import (
+    bit_range_bounds,
+    flip_bit32_array,
+    random_bitflip,
+)
 
 
 class FaultModel:
@@ -99,11 +103,32 @@ class TransientFault(FaultModel):
         super().__init__(rng)
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
+        bit_range_bounds(bit_range)
         self.probability = probability
         self.bit_range = bit_range
 
     def fires(self) -> bool:
         return bool(self.rng.random() < self.probability)
+
+    def quiet_ops(self, n_ops: int, draws_per_op: int) -> int:
+        """How many of the next ``n_ops`` operations, each drawing
+        ``draws_per_op`` :meth:`fires` draws, pass with no draw firing.
+
+        Reads the stream ahead with one ``rng.random(n)`` call, which
+        returns the same doubles and leaves the same state as ``n``
+        scalar draws.  When every op is quiet the stream stays past
+        them all; otherwise it is rewound to the first draw of the
+        first op holding a firing draw, so that op can run through
+        the real unit and consume its draws exactly as it would have.
+        """
+        state = self.rng.bit_generator.state
+        fired = self.rng.random(n_ops * draws_per_op) < self.probability
+        if not fired.any():
+            return n_ops
+        quiet = int(fired.argmax()) // draws_per_op
+        self.rng.bit_generator.state = state
+        self.rng.random(quiet * draws_per_op)
+        return quiet
 
     def corrupt(self, value: float) -> float:
         return random_bitflip(
@@ -120,9 +145,7 @@ class TransientFault(FaultModel):
         if n_fired == 0:
             return values
         self.activations += n_fired
-        low, high = (
-            self.bit_range if self.bit_range is not None else (0, 32)
-        )
+        low, high = bit_range_bounds(self.bit_range)
         bits = self.rng.integers(low, high, size=n_fired)
         out = values.copy()
         out[fired] = flip_bit32_array(values[fired], bits)

@@ -28,11 +28,17 @@ check fires):
    words agree; ``+0.0`` vs ``-0.0`` disagree -- the same comparator
    the (fixed) scalar operators use.
 3. **Repair.** Only disagreeing output elements re-execute through
-   the scalar Algorithm 3 rollback path
-   (:func:`~repro.reliable.convolution.reliable_convolution`), in
-   traversal order, against the *shared per-image leaky bucket*;
-   agreed runs leak the bucket in bulk.  Bucket overflow aborts (or
-   marks) exactly as the scalar engine would.
+   the scalar Algorithm 3 rollback path, in traversal order, against
+   the *shared per-image leaky bucket*; agreed runs leak the bucket
+   in bulk.  Bucket overflow aborts (or marks) exactly as the scalar
+   engine would.  Under a transient fault model the repair is
+   *draw-exact* (:func:`repair_is_draw_exact`, decided by exact
+   type): it reads the fault stream ahead, accounts each run of
+   operations no draw hits in bulk off a fault-free chain computed
+   for all of an image's repairs in one array pass, and sends only
+   the operation a draw hits through the real operator
+   (:func:`_repair`).  Everything else repairs through
+   :func:`~repro.reliable.convolution.reliable_convolution`.
 
 Equivalence contract
 --------------------
@@ -59,7 +65,10 @@ per-operation loop with the same faulty unit.  Reports stay
 stats-compatible (``errors_detected``/``rollbacks``/abort accounting
 follow the same bucket), but are not a bit-replay of a scalar run --
 per-operation and per-pass fault streams consume randomness
-differently by construction.
+differently by construction.  The repair itself, though, is a
+bit-replay of the scalar repair: the draw-exact form consumes the
+fault stream exactly as ``reliable_convolution`` would and leaves the
+same words, counters, abort points, activations and generator state.
 
 Operators of unregistered classes, or units with no array form, fall
 back to the scalar engine wholesale, so ``engine="vectorized"`` is
@@ -72,13 +81,18 @@ import itertools
 
 import numpy as np
 
-from repro.reliable.bits import word_view
-from repro.reliable.convolution import ConvolutionStats, reliable_convolution
+from repro.reliable.bits import same_word, word_view
+from repro.reliable.convolution import (
+    ConvolutionStats,
+    _checked,
+    reliable_convolution,
+)
 from repro.reliable.errors import PersistentFailureError
 from repro.reliable.execution_unit import (
     ArrayExecutionUnit,
     Float32ArrayUnit,
     Float64ArrayUnit,
+    PerfectExecutionUnit,
     as_array_unit,
 )
 from repro.reliable.executor import (
@@ -147,6 +161,37 @@ def speculation_is_exact(operator: Operator) -> bool:
         return False
     unit = as_array_unit(operator.unit)
     return unit is not None and is_deterministic(unit)
+
+
+def repair_is_draw_exact(operator: Operator) -> bool:
+    """Whether the repair of a disagreeing element may read the fault
+    stream ahead (:func:`_repair`) and still replay scalar Algorithm 3
+    draw for draw.
+
+    Decided by exact type, like :func:`is_deterministic`: a
+    speculative operator over a
+    :class:`~repro.faults.injector.FaultyExecutionUnit` that exposes
+    both operations of a :class:`PerfectExecutionUnit` to a
+    :class:`~repro.faults.models.TransientFault` drawing from a plain
+    ``np.random.Generator``.  There an operation in which no execution
+    fires consumes exactly ``executions_per_op`` ``rng.random()``
+    draws, draws nothing else, and returns the base value qualified
+    True.  Any subclass, other fault model, base unit or ``targets``
+    keeps the scalar repair.
+    """
+    # Imported here: repro.faults builds on this package.
+    from repro.faults.injector import FaultyExecutionUnit
+    from repro.faults.models import TransientFault
+
+    unit = operator.unit
+    return (
+        type(operator) in _SPECULATIVE_TYPES
+        and type(unit) is FaultyExecutionUnit
+        and unit.targets == "both"
+        and type(unit.base) is PerfectExecutionUnit
+        and type(unit.fault) is TransientFault
+        and type(unit.fault.rng) is np.random.Generator
+    )
 
 
 def _shifted_columns(
@@ -264,6 +309,124 @@ def _verify(passes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return value, ~(a01 | a02 | a12)
 
 
+def _clean_chains(
+    operator: Operator,
+    patches: np.ndarray,
+    weights: np.ndarray,
+    biases: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """The fault-free Algorithm 3 chains :func:`_repair` replays, for
+    K elements at once.
+
+    ``patches`` and ``weights`` are ``(K, L)``, ``biases`` ``(K,)``.
+    Row ``k`` is ``(addends, chain)``: ``addends`` ``(L + 1,)`` holds
+    the L products and then the bias, ``chain`` ``(L + 2,)`` the
+    accumulator before the first addend (``0.0``) and after each.  One
+    multiply and one sequential ``add.accumulate`` in tap order give
+    every element the float sequence of its scalar chain.  A row is
+    None where the repair stays scalar: for every row unless
+    :func:`repair_is_draw_exact`, and for elements with a non-finite
+    operand, where two different NaN words may meet and array and
+    scalar loops may keep different ones.
+    """
+    if not repair_is_draw_exact(operator):
+        return [None] * len(patches)
+    patches = np.asarray(patches, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    biases = np.asarray(biases, dtype=np.float64)
+    addends = np.zeros((len(patches), patches.shape[1] + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(patches, weights, out=addends[:, 1:-1])
+        addends[:, -1] = biases
+        chains = np.add.accumulate(addends, axis=1)
+    finite = (
+        np.isfinite(patches).all(axis=1)
+        & np.isfinite(weights).all(axis=1)
+        & np.isfinite(biases)
+    )
+    return [
+        (addends[k, 1:], chains[k]) if finite[k] else None
+        for k in range(len(patches))
+    ]
+
+
+def _repair(
+    patch: np.ndarray,
+    weights: np.ndarray,
+    bias: float,
+    operator: Operator,
+    bucket: LeakyBucket,
+    stats: ConvolutionStats,
+    clean: tuple[np.ndarray, np.ndarray] | None,
+) -> float:
+    """Re-execute one disagreeing element through scalar Algorithm 3.
+
+    Without a ``clean`` chain this is
+    :func:`~repro.reliable.convolution.reliable_convolution`.  With
+    one (:func:`_clean_chains`) it is the same run, draw for draw, at
+    a Python cost that scales with faults instead of operations:
+
+    * :meth:`~repro.faults.models.TransientFault.quiet_ops` reads the
+      fault stream ahead.  A run of operations no draw hits costs one
+      operation and one bucket leak each, in bulk, and its values are
+      read off the chain.
+    * The operation a draw hits runs through
+      :func:`~repro.reliable.convolution._checked` with the real
+      operator, so its retries, bucket, overflow and abort are the
+      scalar ones.
+    * Should the word it accepts leave the chain (common-mode
+      corruption, such as two identical flips under DMR), the rest of
+      the element runs op by op through ``_checked`` too.
+    """
+    if clean is None:
+        return reliable_convolution(
+            patch, weights, bias, operator, bucket=bucket, stats=stats
+        ).value
+    addends, chain = clean
+    fault = operator.unit.fault
+    taps = len(patch)
+    n_ops = 2 * taps + 1
+    op = 0
+    while True:
+        quiet = fault.quiet_ops(n_ops - op, operator.executions_per_op)
+        stats.operations += quiet
+        bucket.record_successes(quiet)
+        op += quiet
+        if op == n_ops:
+            return float(chain[-1])
+        # Operation 2t multiplies tap t, 2t + 1 accumulates its
+        # product, and 2L accumulates the bias.
+        tap, odd = divmod(op, 2)
+        if odd or tap == taps:
+            value = _checked(
+                operator.add, float(chain[tap]), float(addends[tap]),
+                bucket, stats,
+            )
+            expected = chain[tap + 1]
+        else:
+            value = _checked(
+                operator.multiply, float(patch[tap]), float(weights[tap]),
+                bucket, stats,
+            )
+            expected = addends[tap]
+        if not same_word(value, float(expected)):
+            break
+        op += 1
+    # Off the clean chain: the rest of the element, op by op.
+    if tap == taps:
+        return value
+    acc = value if odd else _checked(
+        operator.add, float(chain[tap]), value, bucket, stats
+    )
+    for t in range(tap + 1, taps):
+        product = _checked(
+            operator.multiply, float(patch[t]), float(weights[t]),
+            bucket, stats,
+        )
+        acc = _checked(operator.add, acc, product, bucket, stats)
+    return _checked(operator.add, acc, float(bias), bucket, stats)
+
+
 def speculative_forward(
     executor: ReliableConv2D,
     x: np.ndarray,
@@ -337,14 +500,24 @@ def speculative_forward(
     # shared per-image bucket.  Runs of agreed elements leak the
     # bucket in bulk; each disagreeing element costs one detected
     # error (its speculative attempt) and one rollback, then
-    # re-executes through scalar Algorithm 3 with the same bucket.
+    # re-executes through scalar Algorithm 3 with the same bucket
+    # (:func:`_repair`, from the image's clean chains).
+    filter_index = np.asarray(sorted_filters)
     for img in range(n):
         image_slice = _ImageSlice(report, stats)
         bucket = LeakyBucket(
             factor=executor.bucket_factor, ceiling=executor.bucket_ceiling
         )
+        elements = np.argwhere(disagree[img])
+        element_filters = filter_index[elements[:, 0]]
+        chains = _clean_chains(
+            operator,
+            patches[img, elements[:, 1], elements[:, 2]],
+            wmat[element_filters],
+            bias[element_filters],
+        )
         cursor = 0
-        for fi, i, j in np.argwhere(disagree[img]):
+        for (fi, i, j), chain in zip(elements, chains):
             flat = (fi * out_h + i) * out_w + j
             clean = int(flat - cursor)
             if clean:
@@ -370,15 +543,10 @@ def speculative_forward(
                 continue
             stats.rollbacks += 1
             try:
-                result = reliable_convolution(
-                    patches[img, i, j],
-                    wmat[f],
-                    float(bias[f]),
-                    operator,
-                    bucket=bucket,
-                    stats=stats,
+                out[img, f, i, j] = _repair(
+                    patches[img, i, j], wmat[f], float(bias[f]),
+                    operator, bucket, stats, chain,
                 )
-                out[img, f, i, j] = result.value
             except PersistentFailureError as error:
                 _persistent_failure(
                     executor, report, stats, out, bucket,
@@ -472,6 +640,8 @@ def vectorized_reliable_convolution(
             errors_detected=stats.errors_detected,
         )
     stats.rollbacks += 1
-    return reliable_convolution(
-        patch, weights, bias, operator, bucket=bucket, stats=stats
+    (clean,) = _clean_chains(
+        operator, patch[None], weights[None], np.asarray([bias])
     )
+    value = _repair(patch, weights, bias, operator, bucket, stats, clean)
+    return QualifiedValue(value, True)

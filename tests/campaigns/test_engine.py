@@ -268,6 +268,29 @@ class TestReliableExecutionEngineParam:
                 )
             )
 
+    def test_vectorized_pipeline_campaign_pinned(self):
+        """The fault-campaign benchmark's spec: transient faults on the
+        vectorized engine, whose repairs replay scalar Algorithm 3
+        draw for draw.  The fingerprint predates the draw-exact
+        repair."""
+        spec = CampaignSpec(
+            name="e2e-fault-campaign",
+            target="pipeline",
+            fault=FaultSpec(kind="transient", params={"probability": 1e-4}),
+            trials=4,
+            seed=1000,
+            grid={"fault.probability": (1e-4, 3e-4, 1e-3)},
+            target_params={
+                "input_size": 48,
+                "bucket_ceiling": 1000,
+                "engine": "vectorized",
+            },
+            shard_size=1,
+        )
+        assert run_campaign(spec).fingerprint() == (
+            "0c90cb30f243f6a479656b965bfbd1fa4eea0b17ed24938442d305baa96540f7"
+        )
+
     def test_pipeline_target_accepts_engine_param(self):
         spec = CampaignSpec(
             name="pipeline-engine-test",

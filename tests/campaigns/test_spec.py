@@ -44,6 +44,13 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(kind="transient", params={"probability": 1.5})
 
+    @pytest.mark.parametrize(
+        "bit_range", [(0, 40), (5, 5), (-1, 8), (30, 20)]
+    )
+    def test_bad_bit_range_surfaces_at_spec_time(self, bit_range):
+        with pytest.raises(ValueError, match="bit_range"):
+            FaultSpec(kind="transient", params={"bit_range": bit_range})
+
     def test_build_requires_explicit_rng(self):
         with pytest.raises(ValueError, match="explicit Generator"):
             FaultSpec(kind="transient").build(None)

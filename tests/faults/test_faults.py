@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults.bitflip import flip_bit32, flip_bit64, random_bitflip
+from repro.faults.bitflip import (
+    bit_range_bounds,
+    flip_bit32,
+    flip_bit64,
+    random_bitflip,
+)
 from repro.faults.injector import (
     FaultyExecutionUnit,
     corrupt_tensor,
@@ -60,6 +65,47 @@ class TestBitflip:
         with pytest.raises(ValueError):
             random_bitflip(1.0, rng, bit_range=(8, 40))
 
+    def test_bit_range_bounds(self):
+        assert bit_range_bounds(None) == (0, 32)
+        assert bit_range_bounds(None, width=64) == (0, 64)
+        assert bit_range_bounds((23, 31)) == (23, 31)
+        assert bit_range_bounds((31, 32)) == (31, 32)
+        assert bit_range_bounds((32, 40), width=64) == (32, 40)
+
+
+#: Ranges outside ``0 <= low < high <= 32``: too wide, empty, negative
+#: and reversed.
+BAD_BIT_RANGES = [(0, 40), (5, 5), (-1, 8), (30, 20)]
+
+
+class TestBitRangeValidatedUpFront:
+    """A bad ``bit_range`` fails where it is given, whatever the
+    stream would have drawn."""
+
+    @pytest.mark.parametrize("bit_range", BAD_BIT_RANGES)
+    def test_bounds_reject(self, bit_range):
+        with pytest.raises(ValueError, match="bit_range"):
+            bit_range_bounds(bit_range)
+
+    @pytest.mark.parametrize("bit_range", BAD_BIT_RANGES)
+    def test_random_bitflip_rejects(self, rng, bit_range):
+        with pytest.raises(ValueError, match="bit_range"):
+            random_bitflip(1.0, rng, bit_range=bit_range)
+
+    @pytest.mark.parametrize("bit_range", BAD_BIT_RANGES)
+    def test_transient_rejects_at_construction(self, rng, bit_range):
+        with pytest.raises(ValueError, match="bit_range"):
+            TransientFault(0.0, rng, bit_range=bit_range)
+
+    @pytest.mark.parametrize("bit_range", BAD_BIT_RANGES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupt_tensor_rejects_on_every_seed(self, bit_range, seed):
+        with pytest.raises(ValueError, match="bit_range"):
+            corrupt_tensor(
+                np.ones(8, dtype=np.float32), 3,
+                np.random.default_rng(seed), bit_range=bit_range,
+            )
+
 
 @given(st.floats(-1e30, 1e30, allow_nan=False), st.integers(0, 31))
 @settings(max_examples=100, deadline=None)
@@ -96,6 +142,38 @@ class TestTransient:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             TransientFault(1.5)
+
+    @pytest.mark.parametrize("probability", [0.0, 1e-3, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("draws_per_op", [1, 2, 3])
+    def test_quiet_ops_matches_scalar_fires(self, probability, draws_per_op):
+        """``quiet_ops`` counts the ops before the first one holding a
+        firing draw and leaves the stream at that op's first draw --
+        where n scalar ``fires()`` calls per op would have left it."""
+        for seed in range(20):
+            fault = TransientFault(probability, np.random.default_rng(seed))
+            scalar = TransientFault(
+                probability, np.random.default_rng(seed)
+            )
+            n_ops = 40
+            quiet = fault.quiet_ops(n_ops, draws_per_op)
+            expected = 0
+            while expected < n_ops:
+                state = scalar.rng.bit_generator.state
+                if any([scalar.fires() for _ in range(draws_per_op)]):
+                    scalar.rng.bit_generator.state = state
+                    break
+                expected += 1
+            assert quiet == expected
+            assert fault.rng.bit_generator.state == (
+                scalar.rng.bit_generator.state
+            )
+            assert fault.activations == 0
+
+    def test_quiet_ops_of_nothing(self, rng):
+        fault = TransientFault(1.0, rng)
+        state = rng.bit_generator.state
+        assert fault.quiet_ops(0, 2) == 0
+        assert rng.bit_generator.state == state
 
 
 class TestIntermittent:

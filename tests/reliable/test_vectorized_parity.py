@@ -7,19 +7,27 @@ words, same ``ExecutionReport`` counters, same abort point, same
 ``failed_outputs``.  This suite sweeps that contract property-style
 across operators {plain, dmr, tmr}, fault-free and (deterministically)
 fault-injected units, ``filters=`` subsets and batch sizes, then
-checks the stochastic-injection and fallback behaviours separately.
+checks the stochastic-injection and fallback behaviours separately --
+including the draw-exact repair, a bit-replay of the scalar repair
+under transient faults.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.faults.injector import FaultyExecutionUnit
-from repro.faults.models import PermanentFault, TransientFault
+from repro.faults.models import (
+    IntermittentFault,
+    PermanentFault,
+    TransientFault,
+)
 from repro.nn import Conv2D
+from repro.reliable.convolution import ConvolutionStats
 from repro.reliable.errors import PersistentFailureError
 from repro.reliable.execution_unit import (
     Float32ExecutionUnit,
@@ -28,6 +36,7 @@ from repro.reliable.execution_unit import (
     as_array_unit,
 )
 from repro.reliable.executor import RELIABLE_ENGINES, ReliableConv2D
+from repro.reliable.leaky_bucket import LeakyBucket
 from repro.reliable.operators import (
     PlainOperator,
     RedundantOperator,
@@ -36,7 +45,9 @@ from repro.reliable.operators import (
 from repro.reliable.vectorized import (
     can_speculate,
     is_deterministic,
+    repair_is_draw_exact,
     speculation_is_exact,
+    vectorized_reliable_convolution,
 )
 
 
@@ -283,6 +294,179 @@ def test_transient_vectorized_golden():
     assert digest.hexdigest() == (
         "edbbde6d9b780c34a497150922fe258ba4240a1e88c6ad73abeabbc9ac6c1d33"
     )
+
+
+class _ScalarRepair(TransientFault):
+    """The reference for the draw-exact repair: a subclass fails the
+    exact-type gate, so its repairs run scalar ``reliable_convolution``
+    on the same stream, with the same speculative passes."""
+
+
+#: The five bit generators NumPy ships.
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.MT19937,
+)
+
+
+def _draw_exact_case(fault_class, op_name, probability, bit_range,
+                     bit_generator, run):
+    """``run(operator)``'s outcome, and the fault's activations and
+    final generator state, for one seeded transient-fault operator."""
+    fault = fault_class(
+        probability, np.random.Generator(bit_generator(7)),
+        bit_range=bit_range,
+    )
+    operator = OPERATOR_CLASSES[op_name](FaultyExecutionUnit(fault))
+    try:
+        outcome = run(operator)
+    except PersistentFailureError as error:
+        outcome = (
+            "raised", error.operations_completed, error.errors_detected
+        )
+    return outcome, fault.activations, repr(fault.rng.bit_generator.state)
+
+
+class TestDrawExactRepair:
+    """The repair of disagreeing elements under transient faults reads
+    the fault stream ahead and sends only the ops a draw hits through
+    the operator; every word, counter, abort point, activation and
+    the final generator state must equal the scalar repair's."""
+
+    @pytest.mark.parametrize("op_name", sorted(OPERATOR_CLASSES))
+    @pytest.mark.parametrize("probability", [1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("bit_range", [None, (31, 32)])
+    def test_forward_replays_scalar_repair(
+        self, conv, batch, op_name, probability, bit_range
+    ):
+        # One input holds an inf: its patches keep the scalar repair
+        # while the image's other elements replay their chains.
+        with_inf = batch.copy()
+        with_inf[1, 0, 2, 3] = np.inf
+        modes = ("mark", "raise")
+        sweep = [
+            *itertools.product(
+                modes, (None, [0, 2]),
+                (np.random.PCG64, np.random.MT19937), (batch,),
+            ),
+            *itertools.product(modes, (None,), (np.random.PCG64,), (with_inf,)),
+        ]
+        for mode, filters, bit_generator, x in sweep:
+            def run(operator):
+                out, report = ReliableConv2D(
+                    conv, operator, engine="vectorized",
+                    on_persistent_failure=mode,
+                ).forward(x, filters=filters)
+                return out.tobytes(), [
+                    _report_key(r) for r in [report, *report.per_image]
+                ]
+
+            cases = [
+                _draw_exact_case(
+                    fault_class, op_name, probability, bit_range,
+                    bit_generator, run,
+                )
+                for fault_class in (TransientFault, _ScalarRepair)
+            ]
+            assert cases[0] == cases[1], (
+                mode, filters, bit_generator.__name__, x is with_inf
+            )
+
+    @pytest.mark.parametrize("op_name", sorted(OPERATOR_CLASSES))
+    @pytest.mark.parametrize("probability", [1e-3, 1e-2, 0.1, 0.3])
+    @pytest.mark.parametrize("bit_range", [None, (31, 32)])
+    def test_element_replays_scalar_repair(
+        self, op_name, probability, bit_range
+    ):
+        rng = np.random.default_rng(5)
+        for trial, bit_generator in itertools.product(
+            range(3), (np.random.PCG64, np.random.MT19937)
+        ):
+            patch = rng.standard_normal(24).astype(np.float32)
+            weights = rng.standard_normal(24).astype(np.float32)
+            bias = float(rng.standard_normal())
+
+            def run(operator):
+                bucket = LeakyBucket(ceiling=7)
+                stats = ConvolutionStats()
+                try:
+                    value = vectorized_reliable_convolution(
+                        patch, weights, bias, operator,
+                        bucket=bucket, stats=stats,
+                    )
+                    outcome = (np.float64(value.value).tobytes(), value.ok)
+                except PersistentFailureError as error:
+                    outcome = (
+                        "raised", error.operations_completed,
+                        error.errors_detected,
+                    )
+                return outcome, stats, (
+                    bucket.level, bucket.total_successes,
+                    bucket.total_errors,
+                )
+
+            cases = [
+                _draw_exact_case(
+                    fault_class, op_name, probability, bit_range,
+                    bit_generator, run,
+                )
+                for fault_class in (TransientFault, _ScalarRepair)
+            ]
+            assert cases[0] == cases[1], (trial, bit_generator.__name__)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_block_draws_equal_scalar_draws(self, bit_generator):
+        """The premise of ``TransientFault.quiet_ops``: one
+        ``random(n)`` call returns the doubles of n scalar calls and
+        leaves the same state, also after an ``integers`` draw that
+        leaves a buffered 32-bit word."""
+        block = np.random.Generator(bit_generator(3))
+        scalar = np.random.Generator(bit_generator(3))
+        for prefix in (block, scalar):
+            prefix.integers(0, 32)
+        drawn = block.random(101)
+        one_by_one = np.array([scalar.random() for _ in range(101)])
+        assert drawn.tobytes() == one_by_one.tobytes()
+        assert repr(block.bit_generator.state) == repr(
+            scalar.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("operator_class", sorted(
+        OPERATOR_CLASSES.values(), key=lambda cls: cls.__name__
+    ))
+    def test_gate_accepts_builtin_transient(self, operator_class):
+        fault = TransientFault(1e-3, np.random.default_rng(0))
+        assert repair_is_draw_exact(
+            operator_class(FaultyExecutionUnit(fault))
+        )
+
+    def test_gate_rejects_everything_else(self):
+        class OwnGenerator(np.random.Generator):
+            pass
+
+        def dmr(fault, **unit_kwargs):
+            return RedundantOperator(FaultyExecutionUnit(fault, **unit_kwargs))
+
+        transient = TransientFault(1e-3, np.random.default_rng(0))
+        rejected = {
+            "generator subclass": dmr(TransientFault(
+                1e-3, OwnGenerator(np.random.PCG64(0))
+            )),
+            "multiply only": dmr(transient, targets="multiply"),
+            "float32 base": dmr(transient, base=Float32ExecutionUnit()),
+            "intermittent": dmr(IntermittentFault(
+                0.1, 0.5, np.random.default_rng(0)
+            )),
+            "fault subclass": dmr(_ScalarRepair(
+                1e-3, np.random.default_rng(0)
+            )),
+            "fault-free unit": RedundantOperator(),
+        }
+        for name, operator in rejected.items():
+            assert not repair_is_draw_exact(operator), name
 
 
 class TestScalarFallback:
