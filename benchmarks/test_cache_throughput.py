@@ -23,12 +23,6 @@ Honest methodology:
   (zero achievable hits) through both configurations and asserts the
   cache path costs < 5% extra -- the digest/lookup overhead a
   cache-miss-only workload pays.
-
-Writes one shared-schema timing artifact per architecture
-(``benchmarks/timing_schema.py``) and ingests both into the durable
-catalog (``repro.catalog``) in-test, asserting the catalog's
-``trend`` query reproduces the measured speedup -- the bench and the
-catalog cross-check each other.
 """
 
 from __future__ import annotations
@@ -40,14 +34,12 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.timing_schema import artifact_dir, write_timing_artifact
 from repro.api import (
     PipelineConfig,
     QualifierConfig,
     ServingConfig,
     build_pipeline,
 )
-from repro.catalog import CatalogStore
 from repro.data import render_sign
 from repro.models.smallcnn import small_cnn
 from tests.support.fuzz import (
@@ -67,17 +59,6 @@ IMAGE_SIZE = 32
 
 MIN_SPEEDUP = 3.0
 MAX_UNIFORM_OVERHEAD = 1.05
-
-#: One timing artifact per architecture (literal names: the contracts
-#: suite greps bench sources for every CI-uploaded artifact).
-ARTIFACTS = {
-    "parallel": "cache_throughput_timing.json",
-    "integrated": "integrated_cache_throughput_timing.json",
-}
-
-#: The catalog DB the bench ingests its artifacts into, proving the
-#: write -> ingest -> trend loop in the same run that measured them.
-CATALOG_DB = "catalog.sqlite"
 
 
 def build_cache_pipeline(architecture: str):
@@ -281,48 +262,6 @@ def test_zipf_cache_throughput_and_parity(arch, pipeline, corpus):
         f"{arch} cache only {speedup:.2f}x over cache-off "
         f"({lru_seconds:.3f}s vs {off_seconds:.3f}s) at hit-rate "
         f"{hit_rate:.2f}"
-    )
-
-    path = write_timing_artifact(ARTIFACTS[arch], {
-        "bench": (
-            "cache_throughput" if arch == "parallel"
-            else "integrated_cache_throughput"
-        ),
-        "architecture": arch,
-        "batch": CONCURRENCY,
-        "image_size": IMAGE_SIZE,
-        "client_threads": CLIENT_THREADS,
-        "corpus_images": CORPUS,
-        "total_requests": TOTAL_REQUESTS,
-        "distinct_images": distinct,
-        "zipf_s": ZIPF_S,
-        "cache_off_seconds": off_seconds,
-        "cache_lru_seconds": lru_seconds,
-        "speedup_vs_cache_off": speedup,
-        "cache_hit_rate": hit_rate,
-        "cache_hits": stats.cache_hits,
-        "coalesced_joins": stats.coalesced_joins,
-        "p50_cached_latency_ms": stats.p50_cached_latency_ms,
-        "p50_computed_latency_ms": stats.p50_computed_latency_ms,
-        "min_speedup_vs_cache_off_asserted": MIN_SPEEDUP,
-    })
-
-    # Close the loop through the durable catalog: ingest the artifact
-    # just written and assert the trend query hands back the measured
-    # speedup -- the machine-queryable record matches the bench.
-    with CatalogStore(artifact_dir() / CATALOG_DB) as store:
-        artifact_id, _ = store.ingest_file(path)
-        record = store.get(artifact_id)
-        trend = {
-            (name, key): value
-            for name, _bench, _batch, key, value in store.trend()
-        }
-    assert record.bench == (
-        "cache_throughput" if arch == "parallel"
-        else "integrated_cache_throughput"
-    )
-    assert trend[(record.name, "speedup_vs_cache_off")] == pytest.approx(
-        speedup
     )
 
 

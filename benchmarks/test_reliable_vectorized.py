@@ -6,11 +6,6 @@ geometry; ``REPRO_FULL=1`` for the paper's exact layer), with
 bitwise-identical outputs and reports.  Observed speedups are
 typically in the hundreds -- 20x leaves ample headroom for slow CI
 machines.
-
-Each run writes a timing JSON artifact (CI uploads it per commit,
-seeding the ``BENCH_*`` perf trajectory) to
-``benchmarks/artifacts/reliable_vectorized_timing.json``, overridable
-via the ``BENCH_ARTIFACT_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import full_scale
-from benchmarks.timing_schema import write_timing_artifact
 from repro.data import render_sign
 from repro.faults.injector import FaultyExecutionUnit
 from repro.faults.models import TransientFault
@@ -80,19 +74,6 @@ def test_vectorized_dmr_speedup_and_bitwise_parity(bench_layer):
         f"vectorized DMR only {speedup:.1f}x over scalar "
         f"({scalar_seconds:.3f}s vs {vectorized_seconds:.4f}s)"
     )
-
-    write_timing_artifact("reliable_vectorized_timing.json", {
-        "bench": "reliable_vectorized",
-        "batch": 1,
-        "layer": description,
-        "full_scale": full_scale(),
-        "operator": "dmr",
-        "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": vectorized_seconds,
-        "speedup": speedup,
-        "operations": rep_s.operations,
-        "min_speedup_asserted": MIN_SPEEDUP,
-    })
 
 
 def test_vectorized_injection_overhead_stays_bounded(bench_layer):

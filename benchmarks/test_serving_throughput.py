@@ -21,10 +21,6 @@ into reused scratch buffers), so the pin is
 gone: both architectures are asserted, the parallel hybrid at >= 3x
 and the integrated hybrid at >= 2x -- plus a direct >= 2x bar on
 integrated ``infer_batch`` against its serial loop at batch 64.
-
-Writes one standard timing JSON per architecture, plus the integrated
-batch artifact (shared schema: ``benchmarks/timing_schema.py``) for
-CI upload next to the reliable-conv and qualifier artifacts.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.timing_schema import write_timing_artifact
 from repro.api import (
     PipelineConfig,
     QualifierConfig,
@@ -65,13 +60,6 @@ MIN_SPEEDUP = {"parallel": 3.0, "integrated": 2.0}
 
 #: Direct floor on integrated ``infer_batch`` vs its per-image loop.
 MIN_BATCH_SPEEDUP = 2.0
-
-#: One timing artifact per architecture (literal names: the contracts
-#: suite greps bench sources for every CI-uploaded artifact).
-ARTIFACTS = {
-    "parallel": "serving_throughput_timing.json",
-    "integrated": "integrated_serving_throughput_timing.json",
-}
 
 
 def build_serving_pipeline(architecture: str):
@@ -220,27 +208,6 @@ def test_serving_throughput_and_parity(arch, pipeline, images):
         f"loop ({served_seconds:.3f}s vs {serial_seconds:.3f}s)"
     )
 
-    write_timing_artifact(ARTIFACTS[arch], {
-        "bench": (
-            "serving_throughput" if arch == "parallel"
-            else "integrated_serving_throughput"
-        ),
-        "architecture": arch,
-        "batch": CONCURRENCY,
-        "image_size": IMAGE_SIZE,
-        "client_threads": CLIENT_THREADS,
-        "total_requests": TOTAL_REQUESTS,
-        "serial_seconds": serial_seconds,
-        "served_seconds": served_seconds,
-        "serial_rps": serial_rps,
-        "served_rps": served_rps,
-        "speedup_vs_serial": speedup,
-        "mean_batch_size": stats.mean_batch_size,
-        "p50_latency_ms": stats.p50_latency_ms,
-        "p99_latency_ms": stats.p99_latency_ms,
-        "min_speedup_vs_serial_asserted": min_speedup,
-    })
-
 
 def test_integrated_infer_batch_beats_serial_loop():
     """The tentpole bar, measured directly: integrated ``infer_batch``
@@ -283,17 +250,6 @@ def test_integrated_infer_batch_beats_serial_loop():
         f"integrated infer_batch only {speedup:.2f}x its per-image "
         f"loop ({batch_seconds:.3f}s vs {serial_seconds:.3f}s)"
     )
-
-    write_timing_artifact("integrated_infer_batch_timing.json", {
-        "bench": "integrated_infer_batch",
-        "architecture": "integrated",
-        "batch": BATCH,
-        "image_size": IMAGE_SIZE,
-        "serial_seconds": serial_seconds,
-        "batch_seconds": batch_seconds,
-        "speedup_vs_serial": speedup,
-        "min_speedup_vs_serial_asserted": MIN_BATCH_SPEEDUP,
-    })
 
 
 def test_backpressure_under_sustained_overload(pipeline, images):

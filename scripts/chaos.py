@@ -10,7 +10,7 @@ serving invariants failed (``silent_corruption``) or aborted
     # The full preset sweep, two trials each, serially:
     scripts/chaos.py run
 
-    # One fault type, stored as resumable artifacts + catalog summary:
+    # One fault type, stored as resumable artifacts + a JSON summary:
     scripts/chaos.py run --fault batcher_crash --trials 5 \\
         --artifacts artifacts/chaos --summary-json chaos_summary.json
 
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--summary-json", default=None, metavar="PATH",
-        help="write the catalog-ingestable chaos summary here",
+        help="write the chaos summary here as JSON",
     )
     run.add_argument(
         "--json", action="store_true",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from repro.core.partition import HybridPartition, _check_no_unknown_keys
@@ -53,8 +54,12 @@ class QualifierConfig:
                 f"alphabet_size must be in [2, {MAX_ALPHABET}], "
                 f"got {self.alphabet_size}"
             )
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be finite and non-negative")
+        if self.edge_threshold is not None and not math.isfinite(
+            self.edge_threshold
+        ):
+            raise ValueError("edge_threshold must be finite or None")
         if self.n_samples < self.word_length:
             raise ValueError(
                 "n_samples must be at least word_length "
@@ -138,8 +143,8 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
+            raise ValueError("max_wait_ms must be finite and non-negative")
         if self.queue_capacity < self.max_batch:
             raise ValueError(
                 "queue_capacity must be at least max_batch "
@@ -151,8 +156,13 @@ class ServingConfig:
                 f"unknown overflow policy {self.overflow!r}; choose "
                 f"one of {SERVING_OVERFLOW_POLICIES}"
             )
-        if self.submit_timeout_s is not None and self.submit_timeout_s < 0:
-            raise ValueError("submit_timeout_s must be non-negative")
+        if self.submit_timeout_s is not None and not (
+            math.isfinite(self.submit_timeout_s)
+            and self.submit_timeout_s >= 0
+        ):
+            raise ValueError(
+                "submit_timeout_s must be finite and non-negative, or None"
+            )
         if self.latency_window <= 0:
             raise ValueError("latency_window must be positive")
         if self.cache not in SERVING_CACHE_MODES:
@@ -243,14 +253,15 @@ class ChaosConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be non-negative")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
+            raise ValueError("latency_ms must be finite and non-negative")
         if self.burst_overflow < 1:
             raise ValueError("burst_overflow must be at least 1")
         if self.corrupt_bits < 1:
             raise ValueError("corrupt_bits must be at least 1")
-        if self.stall_timeout_s <= 0:
-            raise ValueError("stall_timeout_s must be positive")
+        if not (math.isfinite(self.stall_timeout_s)
+                and self.stall_timeout_s > 0):
+            raise ValueError("stall_timeout_s must be finite and positive")
 
     @property
     def server_events(self) -> int:

@@ -10,8 +10,8 @@ random stream, and the resulting
 :class:`~repro.campaigns.report.TrialRecord` is a pure function of
 ``(spec, cell, trial)`` -- so chaos campaigns inherit seeding,
 sharding, resume, multiprocessing with bitwise worker-count
-invariance, :class:`~repro.campaigns.store.CampaignStore` artifacts
-and catalog ingestion for free.
+invariance and :class:`~repro.campaigns.store.CampaignStore`
+artifacts for free.
 """
 
 from __future__ import annotations
@@ -168,12 +168,8 @@ def chaos_campaign_spec(
 
 
 def chaos_summary(report: CampaignReport) -> dict:
-    """The catalog-facing summary of a chaos campaign run.
-
-    Distinct shape from a raw campaign report (``chaos_campaign`` key,
-    no ``cells``) so :func:`repro.catalog.store.classify_payload` can
-    route it to the ``"chaos"`` artifact kind.
-    """
+    """The summary of a chaos campaign run: outcome counts, the trials
+    whose invariants held, and the fingerprint."""
     counts = dict(report.counts)
     bad = counts.get("silent_corruption", 0) + counts.get(
         "detected_aborted", 0

@@ -23,7 +23,7 @@ fired*:
 Violations are collected, not raised: the experiment always returns a
 :class:`ChaosReport`, whose outcome uses the campaign vocabulary
 (:data:`repro.campaigns.report.OUTCOME_ORDER`) so chaos trials drop
-straight into the existing campaign/catalog machinery.
+straight into the existing campaign machinery.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ through that config.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.nn.layers.conv import Conv2D
@@ -30,6 +31,23 @@ def _check_no_unknown_keys(cls, data: dict) -> None:
             f"{cls.__name__}: unknown keys {sorted(unknown)}; "
             f"expected a subset of {sorted(known)}"
         )
+
+
+def _filter_indices(name: str, filters) -> tuple[int, ...]:
+    """Layer ``name``'s filter list as a tuple of ints.  Entries must
+    already be integers (NumPy integers too): a float, a bool or a
+    string names no filter, so it raises instead of being rounded or
+    parsed."""
+    if not isinstance(filters, (str, bytes)):
+        try:
+            if not any(isinstance(f, bool) for f in filters):
+                return tuple(operator.index(f) for f in filters)
+        except TypeError:
+            pass
+    raise ValueError(
+        f"filters of layer {name!r} must be a list of integers, "
+        f"got {filters!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -81,7 +99,7 @@ class HybridPartition:
             self,
             "reliable_filters",
             {
-                name: tuple(int(f) for f in filters)
+                name: _filter_indices(name, filters)
                 for name, filters in self.reliable_filters.items()
             },
         )

@@ -17,6 +17,7 @@ threshold can be fixed during certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,8 +236,10 @@ class ShapeQualifier:
         edge_threshold: float | None = None,
         n_samples: int = SERIES_SAMPLES,
     ) -> None:
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise ValueError("threshold must be finite and non-negative")
+        if edge_threshold is not None and not math.isfinite(edge_threshold):
+            raise ValueError("edge_threshold must be finite or None")
         self.shape = shape
         self.encoder = SaxEncoder(word_length, alphabet_size)
         self.threshold = threshold

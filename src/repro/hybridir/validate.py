@@ -5,6 +5,8 @@ the format can reject malformed descriptions with actionable errors
 -- the role ONNX checker plays for plain graphs, extended with the
 facts that tie the hybrid's wiring to this graph:
 
+* every size, stride and channel count is a positive int, and every
+  padding a non-negative one;
 * shape inference succeeds end to end (channel/feature mismatches
   between consecutive nodes are caught here);
 * every reliable layer exists, is a conv2d, and owns every filter
@@ -19,6 +21,8 @@ when :attr:`~repro.hybridir.schema.HybridGraph.reliability` is built.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.api.config import Architecture
 from repro.core.partition import HybridPartition
 from repro.hybridir import schema
@@ -27,6 +31,14 @@ from repro.hybridir.schema import HybridGraph, LayerNode
 
 class ValidationError(ValueError):
     """A hybrid graph failed structural validation."""
+
+
+#: Geometry attributes: each must be an int of at least this value.
+_INT_ATTR_MINIMUM = dict.fromkeys(
+    ("in_channels", "out_channels", "kernel_size", "stride", "pool_size",
+     "in_features", "out_features", "size"),
+    1,
+) | {"padding": 0}
 
 
 def _check_node(node: LayerNode) -> None:
@@ -46,6 +58,17 @@ def _check_node(node: LayerNode) -> None:
         raise ValidationError(
             f"node {node.name!r}: unexpected attrs {sorted(extra)}"
         )
+    for key, value in node.attrs.items():
+        minimum = _INT_ATTR_MINIMUM.get(key)
+        if minimum is not None and not (
+            isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)
+            and value >= minimum
+        ):
+            raise ValidationError(
+                f"node {node.name!r}: {key} must be an int >= {minimum}, "
+                f"got {value!r}"
+            )
 
 
 def _infer_shapes(graph: HybridGraph) -> list[tuple[int, ...]]:

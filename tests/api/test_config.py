@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.api import Architecture, PipelineConfig, QualifierConfig
+from repro.api import (
+    Architecture,
+    ChaosConfig,
+    PipelineConfig,
+    QualifierConfig,
+    ServingConfig,
+)
 from repro.core import HybridPartition
 
 
@@ -24,6 +31,11 @@ class TestQualifierConfig:
         {"alphabet_size": 100},
         {"threshold": -0.1},
         {"n_samples": 16, "word_length": 32},
+        {"threshold": float("nan")},
+        {"threshold": float("inf")},
+        {"edge_threshold": float("nan")},
+        {"edge_threshold": float("-inf")},
+        {"edge_threshold": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -60,6 +72,13 @@ class TestHybridPartition:
             HybridPartition(redundancy="qmr")
         with pytest.raises(ValueError, match="unknown keys"):
             HybridPartition.from_dict({"redundnacy": "tmr"})
+        for filters in ([1.7, 0], [0.0, 1], "01", [True, 0], 1):
+            with pytest.raises(ValueError, match="list of integers"):
+                HybridPartition(reliable_filters={"conv1": filters})
+        numpy_indices = HybridPartition(
+            reliable_filters={"conv1": [np.int64(1), np.uint8(0)]}
+        )
+        assert numpy_indices.reliable_filters == {"conv1": (1, 0)}
 
     def test_round_trip(self):
         partition = HybridPartition(
@@ -107,6 +126,19 @@ class TestPipelineConfig:
         )
         assert clone == config
         assert clone.partition.redundancy == "tmr"
+
+
+@pytest.mark.parametrize("cls, text", [
+    (QualifierConfig, '{"threshold": NaN}'),
+    (ServingConfig, '{"max_wait_ms": Infinity}'),
+    (ChaosConfig, '{"stall_timeout_s": NaN}'),
+])
+def test_non_finite_json_values_rejected(cls, text):
+    """``json.loads`` accepts ``NaN`` and ``Infinity``, so a config
+    file can carry them; ``from_dict`` refuses them like the
+    constructor does."""
+    with pytest.raises(ValueError, match="finite"):
+        cls.from_dict(json.loads(text))
 
 
 class TestPartitionEngineField:

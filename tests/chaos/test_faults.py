@@ -53,6 +53,10 @@ class TestChaosConfig:
             ("burst_overflow", 0),
             ("corrupt_bits", 0),
             ("stall_timeout_s", 0.0),
+            ("latency_ms", float("nan")),
+            ("latency_ms", float("inf")),
+            ("stall_timeout_s", float("nan")),
+            ("stall_timeout_s", float("inf")),
         ],
     )
     def test_validation_rejects(self, field, value):

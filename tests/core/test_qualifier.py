@@ -131,3 +131,14 @@ class TestFeatureMapPath:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ShapeQualifier(threshold=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": float("nan")},
+        {"threshold": float("inf")},
+        {"edge_threshold": float("nan")},
+        {"edge_threshold": float("inf")},
+        {"edge_threshold": float("-inf")},
+    ])
+    def test_non_finite_thresholds_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ShapeQualifier(**kwargs)

@@ -165,6 +165,55 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             validate_graph(self._mutate(graph, mutate))
 
+    @pytest.mark.parametrize("layer, attr, value", [
+        ("conv1", "stride", 0),
+        ("pool1", "stride", 0),
+        ("conv1", "kernel_size", 3.0),
+        ("pool1", "pool_size", 0),
+        ("conv1", "padding", -1),
+        ("fc2", "out_features", True),
+        ("conv1", "in_channels", 0),
+        ("conv2", "out_channels", -4),
+        ("conv2", "kernel_size", 0),
+        ("conv2", "padding", 1.5),
+        ("pool2", "stride", "2"),
+        ("fc1", "in_features", 1024.0),
+    ])
+    def test_malformed_geometry_rejected(self, graph, layer, attr, value):
+        def mutate(d):
+            (node,) = [n for n in d["layers"] if n["name"] == layer]
+            node["attrs"][attr] = value
+
+        with pytest.raises(ValidationError, match=attr):
+            validate_graph(self._mutate(graph, mutate))
+
+    @pytest.mark.parametrize("size", [0, 5.0])
+    def test_malformed_lrn_size_rejected(self, graph, size):
+        def with_lrn(lrn_size):
+            def mutate(d):
+                d["layers"].insert(2, {
+                    "op": "lrn",
+                    "name": "lrn1",
+                    "attrs": {"size": lrn_size, "k": 2.0, "alpha": 1e-4,
+                              "beta": 0.75},
+                })
+
+            return self._mutate(graph, mutate)
+
+        validate_graph(with_lrn(5))
+        with pytest.raises(ValidationError, match="lrn1.*size"):
+            validate_graph(with_lrn(size))
+
+    def test_fractional_reliable_filters_rejected(self, graph):
+        """A filter index must name a filter: ``0.7`` is not rounded
+        to filter 0 when the graph is read."""
+        def mutate(d):
+            partition = d["reliability"]["partition"]
+            partition["reliable_filters"]["conv1"] = [0.7, 1]
+
+        with pytest.raises(ValueError, match="list of integers"):
+            self._mutate(graph, mutate)
+
 
 class TestRebuild:
     def test_build_model_matches_topology(self, graph, live_setup):

@@ -308,6 +308,11 @@ def test_serving_config_validation_and_round_trip():
         ServingConfig(overflow="drop")
     with pytest.raises(ValueError):
         ServingConfig(submit_timeout_s=-0.1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ServingConfig(max_wait_ms=value)
+        with pytest.raises(ValueError):
+            ServingConfig(submit_timeout_s=value)
     with pytest.raises(ValueError):
         ServingConfig(latency_window=0)
     with pytest.raises(ValueError):
