@@ -22,11 +22,17 @@ from repro.faults.models import TransientFault
 from repro.nn import Conv2D
 from repro.reliable.executor import ReliableConv2D
 from repro.reliable.operators import RedundantOperator
+from tests.support.oracles import transient_apply_array_reference
 
 MIN_SPEEDUP = 20.0
 #: The draw-exact repair must take at most this share of the scalar
 #: repair's time on the bench layer.
 MAX_REPAIR_TIME_SHARE = 1 / 3
+#: ``TransientFault.apply_array`` must take at most this share of the
+#: boolean-mask reference's time on the campaign geometry: well under
+#: it at campaign rates (about one fired element per call), and no
+#: worse than noise far above the per-element crossover.
+MAX_INJECTION_TIME_SHARE = {1e-3: 0.6, 0.3: 1.25}
 
 
 @pytest.fixture(scope="module")
@@ -157,4 +163,46 @@ def test_draw_exact_repair_speedup_and_bitwise_parity(bench_layer):
     assert exact_seconds <= scalar_seconds * MAX_REPAIR_TIME_SHARE, (
         f"draw-exact repair {exact_seconds * 1e3:.1f} ms vs scalar "
         f"repair {scalar_seconds * 1e3:.1f} ms"
+    )
+
+
+@pytest.mark.parametrize("probability", sorted(MAX_INJECTION_TIME_SHARE))
+def test_transient_injection_cost_and_parity(probability):
+    """590 ``apply_array`` calls on a campaign-trial result array
+    (1, 2, 21, 21), best of 3 with the two forms interleaved, against
+    the boolean-mask reference.  Outputs, activations and the final
+    generator state must match it exactly."""
+    values = np.random.default_rng(0).standard_normal((1, 2, 21, 21))
+    forms = {
+        "apply_array": TransientFault.apply_array,
+        "reference": transient_apply_array_reference,
+    }
+    best = {}
+    for _ in range(3):
+        for name, apply in forms.items():
+            fault = TransientFault(probability, np.random.default_rng(5))
+            start = time.perf_counter()
+            outs = [apply(fault, values) for _ in range(590)]
+            seconds = time.perf_counter() - start
+            if name not in best or seconds < best[name][0]:
+                best[name] = (seconds, outs, fault)
+    seconds, outs, fault = best["apply_array"]
+    ref_seconds, ref_outs, ref_fault = best["reference"]
+
+    assert [out.tobytes() for out in outs] == [
+        out.tobytes() for out in ref_outs
+    ]
+    assert fault.activations == ref_fault.activations > 0
+    assert repr(fault.rng.bit_generator.state) == repr(
+        ref_fault.rng.bit_generator.state
+    )
+    share = seconds / ref_seconds
+    print(
+        f"\ntransient injection p={probability:g}: reference "
+        f"{ref_seconds * 1e3:.1f} ms, apply_array {seconds * 1e3:.1f} ms "
+        f"({share:.2f} of reference, {fault.activations} fired)"
+    )
+    assert share <= MAX_INJECTION_TIME_SHARE[probability], (
+        f"apply_array {seconds * 1e3:.1f} ms vs reference "
+        f"{ref_seconds * 1e3:.1f} ms at p={probability:g}"
     )

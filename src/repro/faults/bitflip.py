@@ -2,9 +2,21 @@
 
 A single event upset flips one storage or logic bit; on data it maps
 directly to XOR-ing one bit of the binary representation.
+
+The scalar float32 word codec (:func:`_word32`, :func:`_value32`)
+reads and writes non-NaN words with :mod:`struct` (``"<f"`` /
+``"<I"``), which rounds like the float32 conversion and costs a small
+fraction of a NumPy scalar round trip.  NaN words take pure bit
+moves instead, so a signalling NaN keeps its quiet bit cleared.  The
+array forms (:func:`word32_array`, :func:`value32_array`) decode
+branch for branch the same.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+import struct
 
 import numpy as np
 
@@ -12,32 +24,37 @@ import numpy as np
 _F64_EXP_MASK = np.uint64(0x7FF) << np.uint64(52)
 _F64_MANT_MASK = (np.uint64(1) << np.uint64(52)) - np.uint64(1)
 
+_F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
-def _word32(value: float) -> np.uint32:
+
+def _word32(value: float) -> int:
     """The float32 storage word behind a Python float.
 
     An IEEE convert instruction *quiets* signalling NaNs (forces
-    mantissa bit 22), so ``np.float32(value)`` silently rewrites any
+    mantissa bit 22), so a float32 conversion silently rewrites any
     sNaN word and a flip/flip round trip through Python floats would
     not restore the original storage word.  NaNs are therefore
     decoded with pure bit moves, inverting :func:`_value32`'s
-    encoding; everything else takes the ordinary conversion.
+    encoding; everything else takes the ordinary rounding conversion,
+    with a value beyond the float32 range stored as the signed
+    infinity the conversion gives.
     """
-    as64 = np.float64(value).view(np.uint64)
-    if (as64 & _F64_EXP_MASK) == _F64_EXP_MASK and as64 & _F64_MANT_MASK:
-        sign = np.uint32(as64 >> np.uint64(63)) << np.uint32(31)
-        payload = np.uint32(
-            (as64 >> np.uint64(29)) & np.uint64(0x7FFFFF)
-        )
-        if payload == 0:
-            # A float64 NaN payload living entirely below bit 29 has
-            # no float32 counterpart; canonical quiet NaN.
-            payload = np.uint32(0x400000)
-        return sign | np.uint32(0x7F800000) | payload
-    return np.float32(value).view(np.uint32)
+    if math.isnan(value):
+        as64 = _U64.unpack(_F64.pack(value))[0]
+        # A float64 NaN payload living entirely below bit 29 has no
+        # float32 counterpart; canonical quiet NaN.
+        payload = (as64 >> 29) & 0x7FFFFF or 0x400000
+        return (as64 >> 63) << 31 | 0x7F800000 | payload
+    try:
+        return _U32.unpack(_F32.pack(value))[0]
+    except OverflowError:
+        return 0xFF800000 if value < 0 else 0x7F800000
 
 
-def _value32(word: np.uint32) -> float:
+def _value32(word: int) -> float:
     """The Python float carrying a float32 storage word bit-exactly.
 
     NaN words embed their 23-bit payload at the top of the float64
@@ -45,17 +62,14 @@ def _value32(word: np.uint32) -> float:
     without executing a conversion, so signalling NaNs keep their
     quiet bit cleared and :func:`_word32` can recover the word.
     """
-    word = np.uint32(word)
-    if (word & np.uint32(0x7F800000)) == np.uint32(0x7F800000) and (
-        word & np.uint32(0x7FFFFF)
-    ):
+    if word & 0x7F800000 == 0x7F800000 and word & 0x7FFFFF:
         as64 = (
-            (np.uint64(word >> np.uint32(31)) << np.uint64(63))
-            | _F64_EXP_MASK
-            | (np.uint64(word & np.uint32(0x7FFFFF)) << np.uint64(29))
+            (word >> 31) << 63
+            | 0x7FF0000000000000
+            | (word & 0x7FFFFF) << 29
         )
-        return float(as64.view(np.float64))
-    return float(word.view(np.float32))
+        return _F64.unpack(_U64.pack(as64))[0]
+    return _F32.unpack(_U32.pack(word))[0]
 
 
 def flip_bit32(value: float, bit: int) -> float:
@@ -67,8 +81,7 @@ def flip_bit32(value: float, bit: int) -> float:
     """
     if not 0 <= bit < 32:
         raise ValueError("bit must be in [0, 32)")
-    flipped = _word32(value) ^ np.uint32(1 << bit)
-    return _value32(flipped)
+    return _value32(_word32(value) ^ 1 << operator.index(bit))
 
 
 def word32_array(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.bitflip import bit_range_bounds, flip_bit32
+from repro.faults.bitflip import bit_range_bounds
 from repro.faults.models import FaultModel
 from repro.reliable.execution_unit import (
     ArrayExecutionUnit,
@@ -130,21 +130,24 @@ def corrupt_tensor(
     """Flip ``n_flips`` random bits in random elements of a tensor.
 
     Returns ``(corrupted_copy, flips)`` where each flip is
-    ``(element_index, bit)``.  The input tensor is not modified.
+    ``(element_index, bit)``, in plain ints.  The input tensor is not
+    modified.  Each flip XORs one bit of the stored float32 word, so
+    the stored word differs from the original in exactly the bits
+    reported -- also where the result is a signalling NaN, which a
+    store through a float carrier would quiet.
     """
     if n_flips < 0:
         raise ValueError("n_flips must be >= 0")
     low, high = bit_range_bounds(bit_range)
     corrupted = np.array(tensor, dtype=np.float32, copy=True)
-    flat = corrupted.reshape(-1)
+    words = corrupted.reshape(-1).view(np.uint32)
     flips: list[tuple[tuple[int, ...], int]] = []
     for _ in range(n_flips):
-        pos = int(rng.integers(0, flat.size))
+        pos = int(rng.integers(0, words.size))
         bit = int(rng.integers(low, high))
-        flat[pos] = flip_bit32(float(flat[pos]), bit)
-        flips.append(
-            (np.unravel_index(pos, corrupted.shape), bit)
-        )
+        words[pos] ^= np.uint32(1 << bit)
+        index = np.unravel_index(pos, corrupted.shape)
+        flips.append((tuple(int(i) for i in index), bit))
     return corrupted, flips
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from repro.faults.bitflip import (
     bit_range_bounds,
     flip_bit32,
+    flip_bit32_array,
     flip_bit64,
     random_bitflip,
 )
@@ -19,12 +24,27 @@ from repro.faults.injector import (
     flip_weight_bits,
 )
 from repro.faults.models import (
+    SCALAR_FLIP_MAX,
     IntermittentFault,
     PermanentFault,
     TransientFault,
 )
 from repro.nn import Conv2D
 from repro.reliable.vectorized import is_deterministic
+from tests.support.oracles import transient_apply_array_reference
+
+
+def _float64(word: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", word))[0]
+
+
+#: Float64 carriers of float32 signalling-NaN words (mantissa bit 22
+#: clear), as :func:`flip_bit32` returns them: words 0x7FA00000 and
+#: 0xFF800001.
+SNAN_CARRIERS = [_float64(0x7FF4000000000000), _float64(0xFFF0000020000000)]
+#: A float64 NaN whose payload lies wholly below bit 29, so it has no
+#: float32 counterpart.
+LOW_PAYLOAD_NAN = _float64(0x7FF0000000000001)
 
 
 class TestBitflip:
@@ -48,6 +68,15 @@ class TestBitflip:
             flip_bit32(1.0, 32)
         with pytest.raises(ValueError):
             flip_bit64(1.0, 64)
+
+    @pytest.mark.parametrize("bit", [np.int64(0), np.uint8(0)])
+    def test_numpy_integer_bit(self, bit):
+        """A NumPy integer bit gives the words a Python int does, also
+        into a negative NaN word."""
+        for value in (-np.inf, 1.5):
+            assert struct.pack("<d", flip_bit32(value, bit)) == struct.pack(
+                "<d", flip_bit32(value, int(bit))
+            )
 
     def test_random_flip_respects_bit_range(self, rng):
         # Exponent-only flips of 1.0 never just tweak the mantissa.
@@ -261,24 +290,65 @@ class TestTensorCorruption:
         with pytest.raises(ValueError):
             corrupt_tensor(np.ones(3, dtype=np.float32), -1, rng)
 
+    @pytest.mark.parametrize(
+        ("value", "bit", "word"),
+        [(np.inf, 0, 0x7F800001), (1.25, 30, 0x7FA00000)],
+    )
+    def test_flip_to_signalling_nan_stores_one_bit(self, value, bit, word):
+        """The stored word differs from the original in the reported
+        bit alone, also where it is a signalling NaN that a store
+        through a float carrier would quiet."""
+        tensor = np.full(3, value, dtype=np.float32)
+        corrupted, flips = corrupt_tensor(
+            tensor, 1, np.random.default_rng(0), bit_range=(bit, bit + 1)
+        )
+        [(position, flipped)] = flips
+        assert flipped == bit
+        assert corrupted.view(np.uint32)[position] == word
+
+    def test_flip_positions_are_plain_ints(self, rng):
+        _, flips = corrupt_tensor(
+            np.zeros((2, 3, 4), dtype=np.float32), 5, rng
+        )
+        for position, bit in flips:
+            assert all(type(i) is int for i in (*position, bit))
+        json.dumps(flips)
+
 
 class TestArrayBitflip:
     """Array flip primitives must match the scalar ones bit for bit."""
 
     @given(
         st.lists(
-            st.floats(width=32, allow_nan=True, allow_infinity=True),
+            st.floats(allow_nan=True, allow_infinity=True),
             min_size=1, max_size=16,
         ),
         st.integers(0, 31),
     )
     @settings(max_examples=50, deadline=None)
+    # Rounds to the nearest float32.
+    @example(values=[0.1], bit=0)
+    # Rounds down to FLT_MAX; overflows to inf.
+    @example(values=[3.4028235677973366e38, 3.5e38, -3.5e38], bit=3)
+    @example(values=[1e-46], bit=22)
+    @example(values=[LOW_PAYLOAD_NAN], bit=22)
+    @example(values=SNAN_CARRIERS, bit=0)
+    @example(values=SNAN_CARRIERS, bit=22)
     def test_matches_scalar_flip(self, values, bit):
-        from repro.faults.bitflip import flip_bit32_array
-
         array = flip_bit32_array(np.array(values, dtype=np.float64), bit)
         scalar = [flip_bit32(v, bit) for v in values]
         assert array.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("value", [3.5e38, -3.5e38, 1e300])
+    def test_out_of_range_flips_are_silent(self, value):
+        """A value beyond float32 range stores as the signed infinity
+        without an overflow warning, in both forms."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bit in range(32):
+                scalar = flip_bit32(value, bit)
+                array = flip_bit32_array(np.array([value]), bit)
+                assert array.tobytes() == np.array([scalar]).tobytes()
 
     def test_per_element_bits(self):
         from repro.faults.bitflip import flip_bit32_array
@@ -348,6 +418,76 @@ class TestArrayFaultApplication:
         out = fault.apply_array(values)
         expected = np.array([reference.apply(float(v)) for v in values])
         assert out.tobytes() == expected.tobytes()
+
+
+class TestTransientApplyArrayReference:
+    """``TransientFault.apply_array`` flips few fired elements one at a
+    time and many through one array call.  Either way it must give the
+    words, activations and generator state of the boolean-mask
+    reference."""
+
+    SPECIALS = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 1e-46,
+        3.4028235677973366e38, 3.5e38, -3.5e38, LOW_PAYLOAD_NAN,
+        *SNAN_CARRIERS,
+    ]
+
+    @classmethod
+    def _inputs(cls, rng):
+        """The campaign geometry, a non-contiguous view of it, and
+        sizes that put all-fired calls on each side of
+        :data:`SCALAR_FLIP_MAX`."""
+        base = rng.standard_normal((1, 2, 21, 21)) * 10.0 ** rng.integers(
+            -45, 45, (1, 2, 21, 21)
+        )
+        flat = base.reshape(-1)
+        flat[rng.choice(flat.size, len(cls.SPECIALS), replace=False)] = (
+            cls.SPECIALS
+        )
+        view = base[:, ::-1, 1::2, ::3]
+        assert not view.flags.c_contiguous
+        return [
+            base, view,
+            flat[:SCALAR_FLIP_MAX], flat[-SCALAR_FLIP_MAX - 1:],
+        ]
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox,
+         np.random.SFC64],
+    )
+    @pytest.mark.parametrize("probability", [0.0, 1e-3, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("bit_range", [None, (31, 32), (23, 31)])
+    def test_matches_boolean_mask_reference(
+        self, bit_generator, probability, bit_range
+    ):
+        fired_counts = set()
+        for seed in range(2):
+            fault = TransientFault(
+                probability, np.random.Generator(bit_generator(seed)),
+                bit_range=bit_range,
+            )
+            reference = TransientFault(
+                probability, np.random.Generator(bit_generator(seed)),
+                bit_range=bit_range,
+            )
+            for values in self._inputs(np.random.default_rng(seed)):
+                for _ in range(2):
+                    before = fault.activations
+                    out = fault.apply_array(values)
+                    expected = transient_apply_array_reference(
+                        reference, values
+                    )
+                    assert out.shape == expected.shape
+                    assert out.tobytes() == expected.tobytes()
+                    assert type(fault.activations) is int
+                    assert fault.activations == reference.activations
+                    assert repr(fault.rng.bit_generator.state) == repr(
+                        reference.rng.bit_generator.state
+                    )
+                    fired_counts.add(fault.activations - before)
+        if probability == 1.0:
+            assert {SCALAR_FLIP_MAX, SCALAR_FLIP_MAX + 1} <= fired_counts
 
 
 class TestArrayFaultyUnit:

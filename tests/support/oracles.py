@@ -1,9 +1,11 @@
-"""Scalar reference paths that production code no longer runs.
+"""Reference paths that production code no longer runs.
 
 Each hybrid infers through one batched path; single-image ``infer`` is
 a batch of one.  The scalar per-image pipeline the parallel hybrid
 used to run beside it lives on here, as the oracle the parity suites
-compare the batched path against.
+compare the batched path against.  So does the boolean-mask form of
+transient array injection, which flips every fired element through
+one array call.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hybrid import HybridResult, _batch_invariant_inference
+from repro.faults.bitflip import bit_range_bounds, flip_bit32_array
+from repro.faults.models import TransientFault
 from repro.nn.layers.activations import softmax
 
 
@@ -30,3 +34,22 @@ def parallel_infer_reference(
         probabilities, verdict
     )
     return HybridResult(probabilities, predicted, verdict, decision)
+
+
+def transient_apply_array_reference(
+    fault: TransientFault, values: np.ndarray
+) -> np.ndarray:
+    """``TransientFault.apply_array`` in its boolean-mask form: one fire
+    draw per element, one bit draw per fired element in C order, and
+    every fired element flipped by one :func:`flip_bit32_array` call."""
+    values = np.asarray(values, dtype=np.float64)
+    fired = fault.rng.random(values.shape) < fault.probability
+    n_fired = int(fired.sum())
+    if n_fired == 0:
+        return values
+    fault.activations += n_fired
+    low, high = bit_range_bounds(fault.bit_range)
+    bits = fault.rng.integers(low, high, size=n_fired)
+    out = values.copy()
+    out[fired] = flip_bit32_array(values[fired], bits)
+    return out
