@@ -18,6 +18,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -85,6 +88,24 @@ def _normalise(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     return value
+
+
+def _integer(name: str, value: Any, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``.  NumPy integers
+    are accepted; a float, a bool or a string is rejected rather than
+    truncated or counted (the ``core.partition._filter_indices``
+    rule)."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= minimum:
+                return number
+    raise ValueError(
+        f"{name} must be an integer >= {minimum}, got {value!r}"
+    )
 
 
 def _jsonable(value: Any) -> Any:
@@ -227,12 +248,21 @@ class CampaignSpec:
             raise ValueError("target must be non-empty")
         if not isinstance(self.fault, FaultSpec):
             raise TypeError("fault must be a FaultSpec")
-        if self.trials <= 0:
-            raise ValueError("trials must be positive")
-        if self.shard_size <= 0:
-            raise ValueError("shard_size must be positive")
-        if self.atol < 0:
-            raise ValueError("atol must be non-negative")
+        for name, minimum in (("trials", 1), ("shard_size", 1), ("seed", 0)):
+            object.__setattr__(
+                self, name, _integer(name, getattr(self, name), minimum)
+            )
+        # NaN makes every faulted comparison false and inf makes every
+        # deviation "correct": neither is a tolerance.
+        if (
+            isinstance(self.atol, bool)
+            or not isinstance(self.atol, numbers.Real)
+            or not math.isfinite(self.atol)
+            or self.atol < 0
+        ):
+            raise ValueError(
+                f"atol must be a finite number >= 0, got {self.atol!r}"
+            )
         grid = {}
         for axis, values in self.grid.items():
             if not isinstance(axis, str) or not axis:

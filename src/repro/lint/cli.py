@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
+from repro.lint.callgraph import CallGraph
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import run_lint
+from repro.lint.engine import _rel_path, iter_python_files, run_lint
+from repro.lint.project import ProjectModel, build_project
 from repro.lint.reporters import render_human, render_json, render_rule_list
 
 
@@ -113,27 +115,26 @@ def _git_changed_files(root: Path) -> list[Path]:
     )
 
 
-def _with_callers(paths: list[Path], config: LintConfig) -> list[Path]:
+def _with_callers(
+    paths: list[Path], config: LintConfig
+) -> tuple[list[Path], ProjectModel]:
     """Impact analysis for ``--changed``: expand the changed set with
     every file whose call graph reaches into it -- an edit to a helper
-    re-lints the paths that depend on it, not just the helper."""
-    from repro.lint.callgraph import CallGraph
-    from repro.lint.engine import _rel_path, iter_python_files
-    from repro.lint.project import build_project
-
+    re-lints the paths that depend on it, not just the helper.  The
+    model comes back too, so ``--project`` checks it instead of
+    building it again."""
     all_files = iter_python_files(
         [config.root / root for root in config.roots], config
     )
     model = build_project(all_files, config)
-    graph = CallGraph(model)
     changed_rel = {_rel_path(p, config.root) for p in paths}
-    impacted = graph.caller_files(changed_rel)
+    impacted = CallGraph(model).caller_files(changed_rel)
     extra = [
         path
         for path in all_files
         if _rel_path(path, config.root) in impacted
     ]
-    return sorted({*paths, *extra})
+    return sorted({*paths, *extra}), model
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     import repro.lint  # noqa: F401  (register rules)
 
+    model = None
     if args.changed:
         try:
             paths = _git_changed_files(root)
@@ -171,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         if not paths:
             print("0 findings in 0 file(s) [--changed: nothing modified]")
             return 0
-        paths = _with_callers(paths, config)
+        paths, model = _with_callers(paths, config)
     else:
         paths = [Path(p) for p in args.paths] or [
             root / r for r in config.roots
@@ -189,7 +191,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro.lint: bad baseline: {error}", file=sys.stderr)
             return 2
 
-    result = run_lint(paths, config, baseline, project=args.project)
+    result = run_lint(
+        paths, config, baseline, project=args.project, model=model
+    )
 
     if args.update_baseline:
         notes = {e.fingerprint: e.note for e in baseline.entries if e.note}

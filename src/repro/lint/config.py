@@ -101,8 +101,6 @@ class LintConfig:
     roots: list[str] = field(default_factory=lambda: list(DEFAULT_ROOTS))
     exclude: list[str] = field(default_factory=lambda: list(DEFAULT_EXCLUDE))
     baseline_path: str = "lint-baseline.json"
-    #: On-disk summary cache for the ``--project`` pass (repo-relative).
-    project_cache: str = ".lint-cache/project.json"
     scopes: dict[str, list[str]] = field(
         default_factory=lambda: {k: list(v) for k, v in DEFAULT_SCOPES.items()}
     )
@@ -138,6 +136,19 @@ class LintConfig:
         return self.rule_options.get(rule_id, {})
 
 
+def _str_list(value, key: str) -> list[str]:
+    """A TOML list of strings, or ``ValueError`` -- a bare string would
+    otherwise iterate as its characters (``roots = "src"`` scanning
+    ``s``, ``r`` and ``c``) and pass the gate vacuously."""
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(
+            f"lint config: {key} must be a list of strings, got {value!r}"
+        )
+    return list(value)
+
+
 def load_config(root: Path, config_path: Path | None = None) -> LintConfig:
     """Config for ``root``, merged with ``lint.toml`` when present.
 
@@ -146,7 +157,9 @@ def load_config(root: Path, config_path: Path | None = None) -> LintConfig:
     list, replacing the default list per key), and
     ``[lint.rules."RULE-ID"]`` (``exclude`` globs plus arbitrary rule
     options).  Lists *replace* defaults rather than appending --
-    explicit beats clever for an invariant gate.
+    explicit beats clever for an invariant gate.  Every list-valued
+    key (and each rule option whose default is a list) must be a list
+    of strings; anything else raises ``ValueError``.
     """
     root = Path(root).resolve()
     config = LintConfig(root=root)
@@ -159,22 +172,26 @@ def load_config(root: Path, config_path: Path | None = None) -> LintConfig:
         data = tomllib.load(handle)
     section = data.get("lint", {})
     if "roots" in section:
-        config.roots = [str(p) for p in section["roots"]]
+        config.roots = _str_list(section["roots"], "roots")
     if "exclude" in section:
-        config.exclude = [str(p) for p in section["exclude"]]
+        config.exclude = _str_list(section["exclude"], "exclude")
     if "baseline" in section:
         config.baseline_path = str(section["baseline"])
-    if "project_cache" in section:
-        config.project_cache = str(section["project_cache"])
     if "disabled" in section:
-        config.disabled = {str(r) for r in section["disabled"]}
+        config.disabled = set(_str_list(section["disabled"], "disabled"))
     for scope, patterns in section.get("scopes", {}).items():
-        config.scopes[scope] = [str(p) for p in patterns]
+        config.scopes[scope] = _str_list(patterns, f"scopes.{scope}")
     for rule_id, options in section.get("rules", {}).items():
         options = dict(options)
         excludes = options.pop("exclude", None)
         if excludes is not None:
-            config.rule_excludes[rule_id] = [str(p) for p in excludes]
+            config.rule_excludes[rule_id] = _str_list(
+                excludes, f"rules.{rule_id}.exclude"
+            )
+        defaults = DEFAULT_RULE_OPTIONS.get(rule_id, {})
+        for key, value in options.items():
+            if isinstance(defaults.get(key), list):
+                options[key] = _str_list(value, f"rules.{rule_id}.{key}")
         if options:
             merged = dict(config.rule_options.get(rule_id, {}))
             merged.update(options)

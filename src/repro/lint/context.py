@@ -9,12 +9,18 @@ answer the two questions every AST rule asks:
   ``import numpy.random as npr`` and ``from numpy.random import
   default_rng`` both resolve to ``numpy.random.default_rng``;
 * *what text is on line N?* -- for snippets and fingerprints.
+
+A context is built once per file and run: one read, one parse, one
+import map and one token pass serve every per-file rule and the
+file's whole-program summary (:mod:`repro.lint.project`).
 """
 
 from __future__ import annotations
 
 import ast
+import tokenize
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from typing import TYPE_CHECKING
 
@@ -25,16 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.config import LintConfig
 
 
-def build_import_map(tree: ast.AST) -> dict[str, str]:
+def build_import_map(nodes: list[ast.AST]) -> dict[str, str]:
     """Local name -> fully dotted module/symbol path, from every
-    ``import``/``from ... import`` in the file (any nesting level).
+    ``import``/``from ... import`` among a file's ``nodes`` (any
+    nesting level).
 
     Relative imports (``from .foo import bar``) stay unresolved -- the
     linter targets absolute third-party/stdlib hazards, and a relative
     alias can never shadow ``numpy``/``time``/``random``.
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.partition(".")[0]
@@ -57,6 +64,9 @@ class FileContext:
     source: str
     tree: ast.AST
     suppressions: Suppressions
+    #: every node of ``tree`` in ``ast.walk`` order, walked once for
+    #: all the rules that scan the whole file
+    nodes: list[ast.AST] = field(default_factory=list)
     imports: dict[str, str] = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
     #: set by the engine; rules read per-rule options through
@@ -67,14 +77,31 @@ class FileContext:
     @classmethod
     def parse(cls, rel_path: str, source: str) -> "FileContext":
         tree = ast.parse(source)
+        nodes = list(ast.walk(tree))
         return cls(
             rel_path=rel_path,
             source=source,
             tree=tree,
             suppressions=Suppressions.scan(source),
-            imports=build_import_map(tree),
+            nodes=nodes,
+            imports=build_import_map(nodes),
             lines=source.splitlines(),
         )
+
+    @classmethod
+    def read(cls, path: Path, rel_path: str) -> "FileContext":
+        """:meth:`parse` the file at ``path``, decoded the way Python
+        decodes it (UTF-8 BOM, PEP 263 coding cookie).  A file that
+        does not decode raises ``SyntaxError``, like one that does not
+        parse."""
+        with tokenize.open(path) as handle:
+            try:
+                source = handle.read()
+            except UnicodeDecodeError as error:
+                raise SyntaxError(
+                    f"cannot decode as {handle.encoding} ({error.reason})"
+                ) from None
+        return cls.parse(rel_path, source)
 
     def line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.baseline import Baseline, BaselineEntry
+from repro.lint.callgraph import CallGraph
 from repro.lint.config import LintConfig
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
+from repro.lint.project import ProjectModel
 from repro.lint.registry import RULES, ProjectRule
 
 #: Pseudo-rule id for files the parser rejects: a file that cannot be
@@ -79,52 +81,51 @@ def iter_python_files(paths: list[Path], config: LintConfig) -> list[Path]:
     return out
 
 
+def _parse_error(rel_path: str, error: SyntaxError) -> Finding:
+    return Finding(
+        rule=PARSE_ERROR,
+        severity=Severity.ERROR,
+        path=rel_path,
+        line=error.lineno or 1,
+        col=(error.offset or 1) - 1,
+        message=f"file does not parse: {error.msg}",
+    )
+
+
+def _check(
+    ctx: FileContext, config: LintConfig, rules=None
+) -> list[Finding]:
+    """The non-suppressed per-file findings for one context."""
+    findings: list[Finding] = []
+    for rule in RULES.values() if rules is None else rules:
+        if not config.rule_applies(rule, ctx.rel_path):
+            continue
+        for finding in rule.check(ctx):
+            if not ctx.is_suppressed(finding):
+                findings.append(finding)
+    return findings
+
+
 def lint_file(
     path: Path, config: LintConfig, rules: list | None = None
 ) -> list[Finding]:
     """All non-suppressed findings for one file."""
     rel = _rel_path(Path(path), config.root)
-    source = Path(path).read_text(encoding="utf-8")
     try:
-        ctx = FileContext.parse(rel, source)
-        ctx.config = config
+        ctx = FileContext.read(path, rel)
     except SyntaxError as error:
-        return [
-            Finding(
-                rule=PARSE_ERROR,
-                severity=Severity.ERROR,
-                path=rel,
-                line=error.lineno or 1,
-                col=(error.offset or 1) - 1,
-                message=f"file does not parse: {error.msg}",
-            )
-        ]
-    active = rules if rules is not None else list(RULES.values())
-    findings: list[Finding] = []
-    for rule in active:
-        if not config.rule_applies(rule, rel):
-            continue
-        for finding in rule.check(ctx):
-            if not ctx.is_suppressed(finding):
-                findings.append(finding)
-    findings.sort(key=lambda f: f.sort_key)
-    return findings
+        return [_parse_error(rel, error)]
+    ctx.config = config
+    return sorted(_check(ctx, config, rules), key=lambda f: f.sort_key)
 
 
 def run_project_pass(
-    lint_rel_paths: set[str], config: LintConfig
+    model: ProjectModel, lint_rel_paths: set[str], config: LintConfig
 ) -> tuple[list[Finding], dict]:
-    """The whole-program pass: build the project model over *all*
-    configured roots (an inter-procedural property of a file depends
-    on its callers elsewhere), run every :class:`ProjectRule`, and
-    keep the findings anchored in ``lint_rel_paths``."""
-    from repro.lint.callgraph import CallGraph
-    from repro.lint.project import build_project
-
-    files = iter_python_files(
-        [config.root / root for root in config.roots], config
-    )
-    model = build_project(files, config)
+    """The whole-program pass: run every :class:`ProjectRule` over the
+    model of *all* configured roots (an inter-procedural property of a
+    file depends on its callers elsewhere), and keep the findings
+    anchored in ``lint_rel_paths``."""
     graph = CallGraph(model)
     findings: list[Finding] = []
     for rule in RULES.values():
@@ -143,8 +144,6 @@ def run_project_pass(
         "modules": len(model.summaries),
         "functions": model.function_count,
         "call_edges": graph.edge_count,
-        "cache_hits": model.cache_hits,
-        "cache_misses": model.cache_misses,
     }
     return findings, stats
 
@@ -154,20 +153,50 @@ def run_lint(
     config: LintConfig,
     baseline: Baseline | None = None,
     project: bool = False,
+    model: ProjectModel | None = None,
 ) -> LintResult:
-    """Lint ``paths`` and split findings against ``baseline``.  With
-    ``project=True`` the whole-program pass runs on top and its
-    findings join the same baseline/exit-code machinery."""
+    """Lint ``paths`` and split findings against ``baseline``.
+
+    With ``project=True`` the whole-program pass runs on top, over
+    ``model`` when the caller already built one (``--changed`` does,
+    to find callers) and otherwise over every file under the
+    configured roots; its findings join the same baseline/exit-code
+    machinery.  Each file is read, parsed and tokenized once: its
+    per-file rules run on the context, its summary is built from the
+    same context, and the tree is dropped before the next file.
+    """
     result = LintResult()
+    targets = {
+        _rel_path(path, config.root): path
+        for path in iter_python_files(paths, config)
+    }
+    files = dict(targets)
+    summarize: set[str] = set()
+    if project and model is None:
+        model = ProjectModel(root=config.root)
+        for path in iter_python_files(
+            [config.root / root for root in config.roots], config
+        ):
+            rel = _rel_path(path, config.root)
+            summarize.add(rel)
+            files.setdefault(rel, path)
     all_findings: list[Finding] = []
-    lint_rel_paths: set[str] = set()
-    for path in iter_python_files(paths, config):
-        all_findings.extend(lint_file(path, config))
-        lint_rel_paths.add(_rel_path(path, config.root))
-        result.files_scanned += 1
+    for rel, path in files.items():
+        try:
+            ctx = FileContext.read(path, rel)
+        except SyntaxError as error:
+            if rel in targets:
+                all_findings.append(_parse_error(rel, error))
+            continue
+        ctx.config = config
+        if rel in targets:
+            all_findings.extend(_check(ctx, config))
+        if rel in summarize:
+            model.add(ctx)
+    result.files_scanned = len(targets)
     if project:
         project_findings, result.project = run_project_pass(
-            lint_rel_paths, config
+            model, set(targets), config
         )
         all_findings.extend(project_findings)
     all_findings.sort(key=lambda f: f.sort_key)

@@ -45,13 +45,29 @@ def _split_ids(raw: str) -> set[str]:
 
 @dataclass
 class Suppressions:
-    """Parsed pragma state for one file."""
+    """Parsed pragma state for one file: what each pragma suppresses,
+    and (for PRAGMA-STALE) the repo paths its justification cites."""
 
     file_rules: set[str] = field(default_factory=set)
     line_rules: dict[int, set[str]] = field(default_factory=dict)
+    #: ``[{"line", "rules", "cited"}, ...]``, one entry per pragma in
+    #: source order (both forms).
+    citations: list[dict] = field(default_factory=list)
 
     @classmethod
     def scan(cls, source: str) -> "Suppressions":
+        """One token pass over ``source``.
+
+        A justification routinely wraps across a comment *block*::
+
+            # repro: allow[REDUCE-ORDER] -- audited; parity is pinned
+            # by tests/api/test_batch_parity.py.
+            native = patches @ wmat.T
+
+        so for a standalone pragma the citation scan extends over the
+        contiguous pure-comment lines that follow it; a trailing pragma
+        (sharing its line with code) is scanned alone.
+        """
         supp = cls()
         lines = source.splitlines()
         try:
@@ -67,12 +83,35 @@ class Suppressions:
             if match is None:
                 continue
             ids = _split_ids(match.group("ids"))
+            lineno = tok.start[0]
+            prefix = lines[lineno - 1][: tok.start[1]] if lineno <= len(lines) else ""
+            standalone = not prefix.strip()
+            block = [tok.string]
+            if standalone:
+                cursor = lineno + 1
+                while cursor <= len(lines):
+                    stripped = lines[cursor - 1].strip()
+                    if not stripped.startswith("#"):
+                        break
+                    block.append(stripped)
+                    cursor += 1
+            supp.citations.append(
+                {
+                    "line": lineno,
+                    "rules": sorted(ids),
+                    "cited": sorted(
+                        {
+                            path
+                            for text in block
+                            for path in CITATION_RE.findall(text)
+                        }
+                    ),
+                }
+            )
             if match.group("kind") == "allow-file":
                 supp.file_rules |= ids
                 continue
-            lineno = tok.start[0]
-            prefix = lines[lineno - 1][: tok.start[1]] if lineno <= len(lines) else ""
-            if prefix.strip():
+            if not standalone:
                 # Trailing comment: applies to its own (code) line.
                 supp.line_rules.setdefault(lineno, set()).update(ids)
             else:
@@ -91,59 +130,3 @@ class Suppressions:
         if rule_id in self.file_rules:
             return True
         return rule_id in self.line_rules.get(lineno, ())
-
-
-def pragma_citations(source: str) -> list[dict]:
-    """Every pragma in ``source`` with the test paths its
-    justification cites.
-
-    Justifications routinely wrap across a comment *block*::
-
-        # repro: allow[REDUCE-ORDER] -- audited; parity is pinned
-        # by tests/api/test_batch_parity.py.
-        native = patches @ wmat.T
-
-    so for a standalone pragma the citation scan extends over the
-    contiguous pure-comment lines that follow it; a trailing pragma
-    (sharing its line with code) is scanned alone.  Returns
-    ``[{"line", "rules", "cited"}, ...]`` suitable for the project
-    summary cache.
-    """
-    lines = source.splitlines()
-    out: list[dict] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return out
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = PRAGMA_RE.search(tok.string)
-        if match is None:
-            continue
-        lineno = tok.start[0]
-        prefix = lines[lineno - 1][: tok.start[1]] if lineno <= len(lines) else ""
-        block = [tok.string]
-        if not prefix.strip():
-            cursor = lineno + 1
-            while cursor <= len(lines):
-                stripped = lines[cursor - 1].strip()
-                if not stripped.startswith("#"):
-                    break
-                block.append(stripped)
-                cursor += 1
-        cited = sorted(
-            {
-                path
-                for text in block
-                for path in CITATION_RE.findall(text)
-            }
-        )
-        out.append(
-            {
-                "line": lineno,
-                "rules": sorted(_split_ids(match.group("ids"))),
-                "cited": cited,
-            }
-        )
-    return out

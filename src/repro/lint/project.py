@@ -1,4 +1,4 @@
-"""Whole-program project model: per-file summaries + content-hash cache.
+"""Whole-program project model: one summary per file.
 
 The per-file rules see one :class:`~repro.lint.context.FileContext` at
 a time, which is exactly why a nondeterminism source in an unscoped
@@ -11,28 +11,24 @@ registrations, pragma citations and referenced names -- and the
 summaries feed the call graph (:mod:`repro.lint.callgraph`) and the
 inter-procedural rules (:mod:`repro.lint.rules.interproc`).
 
-Summaries are cached on disk keyed by the sha1 of the file's content
-(``.lint-cache/project.json`` by default, configurable via
-``project_cache`` in ``lint.toml``), so a cache-warm project pass only
-hashes files and re-summarizes the ones that actually changed -- fast
-enough for pre-commit use (CI asserts the budget).
+A summary is built from the same context the per-file rules ran on
+(:func:`summarize`), so each file is read, parsed and tokenized once
+per run; the model keeps the summary, the file's
+:class:`~repro.lint.pragmas.Suppressions` and its lines, and lets the
+tree go.  Nothing is cached between runs: a summary always comes from
+the linter that reports on it.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
-from repro.lint.context import build_import_map
-from repro.lint.pragmas import Suppressions, pragma_citations
-from repro.lint.rules.ambient import CLOCK_CALLS, ENV_CALLS
+from repro.lint.context import FileContext
+from repro.lint.pragmas import Suppressions
+from repro.lint.rules.ambient import CLOCK_CALLS, ENV_CALLS, _is_set_expr
 from repro.lint.rules.randomness import NUMPY_LEGACY, STDLIB_RANDOM
-
-#: Bump on any summary shape change: stale cache entries are rebuilt.
-SUMMARY_VERSION = 1
 
 #: Pseudo-function holding module-level statements.  It participates in
 #: the call graph (registrations happen there) but is never a taint
@@ -51,19 +47,6 @@ def module_name_for(rel_path: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
-
-
-def _dotted(node: ast.AST, imports: dict[str, str]) -> str | None:
-    """Resolve a Name/Attribute chain through the import map (the
-    :meth:`FileContext.qualname` logic, freed from the context)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(imports.get(node.id, node.id))
-    return ".".join(reversed(parts))
 
 
 def _literal_strs(node: ast.AST) -> list[str] | None:
@@ -134,12 +117,12 @@ class _FunctionWalker(ast.NodeVisitor):
 
     def __init__(
         self,
-        imports: dict[str, str],
+        ctx: FileContext,
         self_name: str | None,
         initial_held: list[str],
         module: str,
     ) -> None:
-        self.imports = imports
+        self.ctx = ctx
         self.self_name = self_name
         self.module = module
         self.held: list[str] = list(initial_held)
@@ -168,7 +151,7 @@ class _FunctionWalker(ast.NodeVisitor):
         if attr is not None:
             return f"self.{attr}"
         if isinstance(node, ast.Name):
-            resolved = self.imports.get(node.id)
+            resolved = self.ctx.imports.get(node.id)
             if resolved is not None:
                 return resolved
             return f"{self.module}.{node.id}"
@@ -216,15 +199,8 @@ class _FunctionWalker(ast.NodeVisitor):
         self._enter_nested(node)
 
     # -- set iteration (taint source) ------------------------------------
-    def _is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return _dotted(node.func, self.imports) in {"set", "frozenset"}
-        return False
-
     def _check_set_iteration(self, node: ast.AST, iter_expr: ast.AST) -> None:
-        if self._is_set_expr(iter_expr):
+        if _is_set_expr(iter_expr, self.ctx):
             self._record_source("SET-ITER", "set iteration", node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -249,7 +225,7 @@ class _FunctionWalker(ast.NodeVisitor):
             isinstance(func, ast.Name)
             and func.id == "sum"
             and node.args
-            and self._is_set_expr(node.args[0])
+            and _is_set_expr(node.args[0], self.ctx)
         ):
             self._record_source("SET-ITER", "sum over a set", node)
 
@@ -265,9 +241,7 @@ class _FunctionWalker(ast.NodeVisitor):
                 entry.update(kind="selfattr", attr=inner, method=func.attr)
                 handled = True
             elif func.attr in ("register", "get"):
-                registry = _is_registry_base(
-                    _dotted(func.value, self.imports)
-                )
+                registry = _is_registry_base(self.ctx.qualname(func.value))
                 if registry is not None:
                     if func.attr == "get":
                         entry.update(kind="registry", registry=registry)
@@ -275,7 +249,7 @@ class _FunctionWalker(ast.NodeVisitor):
                     else:
                         self._record_registration(node, registry)
         if not handled:
-            dotted = _dotted(func, self.imports)
+            dotted = self.ctx.qualname(func)
             if dotted is not None:
                 entry.update(kind="dotted", target=dotted)
                 self._check_source_call(dotted, node)
@@ -292,7 +266,7 @@ class _FunctionWalker(ast.NodeVisitor):
             key = node.args[0].value
         target = None
         if len(node.args) > 1:
-            target = _dotted(node.args[1], self.imports)
+            target = self.ctx.qualname(node.args[1])
         if target is not None:
             self.registrations.append(
                 {
@@ -309,7 +283,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self._record_source("AMBIENT-TIME", dotted, node)
         elif dotted in ENV_CALLS:
             self._record_source("AMBIENT-ENV", dotted, node)
-        elif dotted == "id" and "id" not in self.imports:
+        elif dotted == "id" and "id" not in self.ctx.imports:
             self._record_source("AMBIENT-ID", "id()", node)
         elif (
             dotted.startswith("numpy.random.")
@@ -319,7 +293,7 @@ class _FunctionWalker(ast.NodeVisitor):
         elif (
             dotted.startswith("random.")
             and dotted.rpartition(".")[2] in STDLIB_RANDOM
-            and self.imports.get("random") == "random"
+            and self.ctx.imports.get("random") == "random"
         ):
             self._record_source("RNG-STDLIB", dotted, node)
         elif (
@@ -333,7 +307,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self._record_source("RNG-SEED", "default_rng()", node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if _dotted(node, self.imports) == "os.environ":
+        if self.ctx.qualname(node) == "os.environ":
             self._record_source("AMBIENT-ENV", "os.environ", node)
         self.generic_visit(node)
 
@@ -342,13 +316,13 @@ def _walk_def(
     method: ast.FunctionDef | ast.AsyncFunctionDef,
     qualname: str,
     cls: str | None,
-    imports: dict[str, str],
+    ctx: FileContext,
     initial_held: list[str],
     module: str,
 ) -> dict:
     args = method.args.posonlyargs + method.args.args
     self_name = args[0].arg if (cls is not None and args) else None
-    walker = _FunctionWalker(imports, self_name, initial_held, module)
+    walker = _FunctionWalker(ctx, self_name, initial_held, module)
     for stmt in method.body:
         walker.visit(stmt)
     return {
@@ -366,7 +340,7 @@ def _walk_def(
 def _decorator_registrations(
     node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
     qualname: str,
-    imports: dict[str, str],
+    ctx: FileContext,
 ) -> list[dict]:
     """``@REG.register("key")`` decorators on a def or class."""
     out = []
@@ -377,9 +351,7 @@ def _decorator_registrations(
             and decorator.func.attr == "register"
         ):
             continue
-        registry = _is_registry_base(
-            _dotted(decorator.func.value, imports)
-        )
+        registry = _is_registry_base(ctx.qualname(decorator.func.value))
         if registry is None:
             continue
         key = None
@@ -397,9 +369,7 @@ def _decorator_registrations(
     return out
 
 
-def _attr_types(
-    class_node: ast.ClassDef, imports: dict[str, str]
-) -> dict[str, str]:
+def _attr_types(class_node: ast.ClassDef, ctx: FileContext) -> dict[str, str]:
     """Best-effort instance attribute types: ``self.x = Cls(...)``
     assignments anywhere in the class's methods (first wins)."""
     types: dict[str, str] = {}
@@ -422,34 +392,30 @@ def _attr_types(
                 continue
             if not isinstance(node.value, ast.Call):
                 continue
-            dotted = _dotted(node.value.func, imports)
+            dotted = ctx.qualname(node.value.func)
             if dotted is not None and target.attr not in types:
                 types[target.attr] = dotted
     return types
 
 
-def summarize_source(rel_path: str, source: str) -> dict:
-    """One file's project summary (raises ``SyntaxError`` on files the
-    parser rejects; the per-file pass already reports those)."""
-    tree = ast.parse(source)
-    imports = build_import_map(tree)
-    module = module_name_for(rel_path)
+def summarize(ctx: FileContext) -> dict:
+    """One file's project summary, from the context its per-file rules
+    ran on."""
+    module = module_name_for(ctx.rel_path)
     functions: list[dict] = []
     classes: list[dict] = []
     registrations: list[dict] = []
 
     def add_def(node, qualname, cls, initial_held):
         summary, regs = _walk_def(
-            node, qualname, cls, imports, initial_held, module
+            node, qualname, cls, ctx, initial_held, module
         )
         functions.append(summary)
         registrations.extend(regs)
-        registrations.extend(
-            _decorator_registrations(node, qualname, imports)
-        )
+        registrations.extend(_decorator_registrations(node, qualname, ctx))
 
     module_body: list[ast.stmt] = []
-    for stmt in tree.body:
+    for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add_def(stmt, f"{module}.{stmt.name}", None, [])
         elif isinstance(stmt, ast.ClassDef):
@@ -460,7 +426,7 @@ def summarize_source(rel_path: str, source: str) -> dict:
                     "name": stmt.name,
                     "line": stmt.lineno,
                     "bases": sorted(
-                        filter(None, (_dotted(b, imports) for b in stmt.bases))
+                        filter(None, (ctx.qualname(b) for b in stmt.bases))
                     ),
                     "guarded_by": {
                         attr: lock
@@ -468,12 +434,12 @@ def summarize_source(rel_path: str, source: str) -> dict:
                         for attr in attrs
                     },
                     "requires_lock": requires,
-                    "attr_types": _attr_types(stmt, imports),
+                    "attr_types": _attr_types(stmt, ctx),
                 }
             )
             registrations.extend(
                 _decorator_registrations(
-                    stmt, f"{module}.{stmt.name}", imports
+                    stmt, f"{module}.{stmt.name}", ctx
                 )
             )
             for member in stmt.body:
@@ -506,71 +472,51 @@ def summarize_source(rel_path: str, source: str) -> dict:
             col_offset=0,
         )
         summary, regs = _walk_def(
-            pseudo, f"{module}.{MODULE_BODY}", None, imports, [], module
+            pseudo, f"{module}.{MODULE_BODY}", None, ctx, [], module
         )
         functions.append(summary)
         registrations.extend(regs)
 
     referenced: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Name):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
 
-    suppressions = Suppressions.scan(source)
     return {
         "module": module,
-        "imports": imports,
+        "imports": ctx.imports,
         "functions": functions,
         "classes": classes,
         "registrations": registrations,
         "referenced_names": sorted(referenced),
-        "pragmas": pragma_citations(source),
-        "suppressions": {
-            "file_rules": sorted(suppressions.file_rules),
-            "line_rules": {
-                str(line): sorted(rules)
-                for line, rules in suppressions.line_rules.items()
-            },
-        },
+        "pragmas": ctx.suppressions.citations,
     }
 
 
 @dataclass
 class ProjectModel:
-    """All summaries for one lint run, plus lazy access to sources for
-    snippets and pragma checks on the (rare) finding paths."""
+    """All summaries for one lint run, with each file's suppressions
+    and lines for the pragma checks and snippets of project findings."""
 
     root: Path
     summaries: dict[str, dict] = field(default_factory=dict)  #: rel -> summary
-    cache_hits: int = 0
-    cache_misses: int = 0
-    _suppressions: dict[str, Suppressions] = field(default_factory=dict)
-    _lines: dict[str, list[str]] = field(default_factory=dict)
+    suppressions: dict[str, Suppressions] = field(default_factory=dict)
+    lines: dict[str, list[str]] = field(default_factory=dict)
+
+    def add(self, ctx: FileContext) -> None:
+        """Summarize one file; the model keeps no reference to its
+        tree."""
+        self.summaries[ctx.rel_path] = summarize(ctx)
+        self.suppressions[ctx.rel_path] = ctx.suppressions
+        self.lines[ctx.rel_path] = ctx.lines
 
     def suppressions_for(self, rel_path: str) -> Suppressions:
-        if rel_path not in self._suppressions:
-            summary = self.summaries.get(rel_path)
-            supp = Suppressions()
-            if summary is not None:
-                data = summary["suppressions"]
-                supp.file_rules = set(data["file_rules"])
-                supp.line_rules = {
-                    int(line): set(rules)
-                    for line, rules in data["line_rules"].items()
-                }
-            self._suppressions[rel_path] = supp
-        return self._suppressions[rel_path]
+        return self.suppressions.get(rel_path, Suppressions())
 
     def line(self, rel_path: str, lineno: int) -> str:
-        if rel_path not in self._lines:
-            try:
-                text = (self.root / rel_path).read_text(encoding="utf-8")
-            except OSError:
-                text = ""
-            self._lines[rel_path] = text.splitlines()
-        lines = self._lines[rel_path]
+        lines = self.lines.get(rel_path, [])
         if 1 <= lineno <= len(lines):
             return lines[lineno - 1].strip()
         return ""
@@ -590,66 +536,16 @@ class ProjectModel:
         )
 
 
-def _load_cache(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if data.get("version") != SUMMARY_VERSION:
-        return {}
-    entries = data.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def _save_cache(path: Path, entries: dict) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"version": SUMMARY_VERSION, "entries": entries},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-    except OSError:
-        # The cache is an accelerator, never a correctness input.
-        pass
-
-
 def build_project(files: list[Path], config) -> ProjectModel:
-    """Summarize ``files`` into a :class:`ProjectModel`, reusing the
-    on-disk cache for files whose content hash is unchanged.  Files
-    that fail to parse are skipped here -- the per-file pass reports
-    them as PARSE-ERROR."""
+    """Summarize ``files`` into a :class:`ProjectModel` without running
+    the per-file rules.  Files that fail to decode or parse are skipped
+    here -- the per-file pass reports them as PARSE-ERROR."""
     from repro.lint.engine import _rel_path  # shared path normalizer
 
     model = ProjectModel(root=config.root)
-    cache_path = config.root / config.project_cache
-    cached = _load_cache(cache_path)
-    fresh: dict[str, dict] = {}
-    dirty = False
     for path in files:
-        rel = _rel_path(Path(path), config.root)
         try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            continue
-        digest = hashlib.sha1(source.encode("utf-8")).hexdigest()
-        entry = cached.get(rel)
-        if entry is not None and entry.get("hash") == digest:
-            model.summaries[rel] = entry["summary"]
-            fresh[rel] = entry
-            model.cache_hits += 1
-            continue
-        try:
-            summary = summarize_source(rel, source)
+            model.add(FileContext.read(path, _rel_path(path, config.root)))
         except SyntaxError:
-            dirty = True
             continue
-        model.summaries[rel] = summary
-        fresh[rel] = {"hash": digest, "summary": summary}
-        model.cache_misses += 1
-        dirty = True
-    if dirty or set(fresh) != set(cached):
-        _save_cache(cache_path, fresh)
     return model

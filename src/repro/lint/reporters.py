@@ -14,8 +14,8 @@ from repro.lint.registry import RULES
 
 REPORT_SCHEMA = "repro-lint-report"
 #: v2 added the "project" section (call-graph stats from --project;
-#: null on per-file-only runs).
-REPORT_VERSION = 2
+#: null on per-file-only runs); v3 dropped its summary-cache counts.
+REPORT_VERSION = 3
 
 
 def render_human(result: LintResult, verbose: bool = False) -> str:
@@ -60,8 +60,7 @@ def render_human(result: LintResult, verbose: bool = False) -> str:
         out.append(
             f"project pass: {stats['functions']} function(s) in "
             f"{stats['modules']} module(s), {stats['call_edges']} call "
-            f"edge(s) [{stats['cache_hits']} cached, "
-            f"{stats['cache_misses']} summarized]"
+            f"edge(s)"
         )
     if verbose and result.baselined:
         out.append("baselined findings:")

@@ -46,9 +46,9 @@ def _is_sorted_wrapped(node: ast.AST, parents: dict[int, ast.AST]) -> bool:
     return False
 
 
-def _parent_map(tree: ast.AST) -> dict[int, ast.AST]:
+def _parent_map(nodes: list[ast.AST]) -> dict[int, ast.AST]:
     parents: dict[int, ast.AST] = {}
-    for parent in ast.walk(tree):
+    for parent in nodes:
         for child in ast.iter_child_nodes(parent):
             parents[id(child)] = parent
     return parents
@@ -77,7 +77,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = ctx.call_qualname(node) or ""
@@ -104,17 +104,31 @@ class EnvironRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        # One finding per read: ``os.environ.get(...)`` and
+        # ``os.environ[...]`` are reported at the call or subscript, so
+        # the ``os.environ`` inside them is skipped.  (``ctx.nodes`` is
+        # in breadth-first order: the outer node comes first.)
+        covered: set[int] = set()
+        for node in ctx.nodes:
             qualname = None
+            inner = None
             if isinstance(node, ast.Call):
                 qualname = ctx.call_qualname(node)
-                if qualname not in ENV_CALLS:
+                if qualname in ENV_CALLS:
+                    inner = getattr(node.func, "value", None)
+                else:
                     qualname = None
-            elif isinstance(node, (ast.Attribute, ast.Subscript)):
-                target = node.value if isinstance(node, ast.Subscript) else node
-                resolved = ctx.qualname(target)
-                if resolved == "os.environ":
-                    qualname = "os.environ"
+            elif isinstance(node, ast.Subscript):
+                if ctx.qualname(node.value) == "os.environ":
+                    qualname, inner = "os.environ", node.value
+            elif (
+                isinstance(node, ast.Attribute)
+                and id(node) not in covered
+                and ctx.qualname(node) == "os.environ"
+            ):
+                qualname = "os.environ"
+            if inner is not None:
+                covered.add(id(inner))
             if qualname:
                 yield self.finding(
                     ctx,
@@ -139,7 +153,7 @@ class IdKeyedRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -168,8 +182,8 @@ class SetIterationRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        parents = _parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        parents = _parent_map(ctx.nodes)
+        for node in ctx.nodes:
             iter_expr = None
             if isinstance(node, ast.For):
                 iter_expr = node.iter

@@ -45,7 +45,7 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -77,7 +77,7 @@ class LruCacheMethodRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for class_node in ast.walk(ctx.tree):
+        for class_node in ctx.nodes:
             if not isinstance(class_node, ast.ClassDef):
                 continue
             for method in class_node.body:

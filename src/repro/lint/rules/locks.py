@@ -191,7 +191,7 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for class_node in ast.walk(ctx.tree):
+        for class_node in ctx.nodes:
             if not isinstance(class_node, ast.ClassDef):
                 continue
             guarded = _guarded_map(class_node)

@@ -62,7 +62,7 @@ class NumpyLegacyRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = ctx.call_qualname(node) or ""
@@ -92,7 +92,7 @@ class StdlibRandomRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = ctx.call_qualname(node) or ""
@@ -136,7 +136,7 @@ class UnseededDefaultRngRule(Rule):
             for pat in options.get("strict_paths", [])
         )
         module_level_calls = self._module_level_calls(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = ctx.call_qualname(node) or ""

@@ -51,7 +51,7 @@ class ContractionOrderRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 yield self.finding(
                     ctx,
@@ -97,7 +97,7 @@ class MultiAxisReductionRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = ctx.call_qualname(node) or ""

@@ -84,6 +84,41 @@ class TestCampaignSpec:
             CampaignSpec(grid={"axis": ()})
         with pytest.raises(TypeError):
             CampaignSpec(fault={"kind": "transient"})
+        # Bad numbers fail at construction, not inside run_campaign:
+        # no truncation, no bool-as-int, no NaN/inf tolerance.
+        for field, value in [
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", "3"),
+            ("trials", 2.5),
+            ("trials", True),
+            ("shard_size", 1.5),
+            ("shard_size", False),
+            ("atol", float("nan")),
+            ("atol", float("inf")),
+            ("atol", True),
+            ("atol", "0"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                CampaignSpec(**{field: value})
+
+    def test_numpy_integers_normalise_to_int(self):
+        spec = CampaignSpec(
+            trials=np.int64(10), seed=np.uint32(7), shard_size=np.int8(4)
+        )
+        assert (spec.trials, spec.seed, spec.shard_size) == (10, 7, 4)
+        assert all(
+            type(v) is int for v in (spec.trials, spec.seed, spec.shard_size)
+        )
+        assert spec.content_hash() == CampaignSpec(
+            trials=10, seed=7, shard_size=4
+        ).content_hash()
+
+    def test_from_dict_rejects_a_bool_trial_count(self):
+        data = CampaignSpec(trials=10).to_dict()
+        data["trials"] = True
+        with pytest.raises(ValueError, match="trials"):
+            CampaignSpec.from_dict(data)
 
     def test_grid_cells_enumerate_sorted_axis_product(self):
         spec = CampaignSpec(

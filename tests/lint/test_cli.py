@@ -131,16 +131,75 @@ def test_list_rules_exits_zero(capsys):
     assert "FLOAT-EQ" in out and "LOCK-GUARD" in out
 
 
-def test_bad_config_is_usage_error(tmp_path, capsys):
-    (tmp_path / "lint.toml").write_text("not [valid toml\n")
+#: id -> lint.toml text.  Past the first, each puts something other
+#: than a list of strings where one belongs; a bare string used to
+#: iterate as its characters (``roots = "src"`` scanned s, r and c).
+BAD_CONFIGS = {
+    "invalid-toml": "not [valid toml\n",
+    "roots-string": '[lint]\nroots = "src"\n',
+    "roots-int-item": '[lint]\nroots = ["src", 1]\n',
+    "exclude-string": '[lint]\nexclude = "build/*"\n',
+    "disabled-string": '[lint]\ndisabled = "FLOAT-EQ"\n',
+    "scope-string": '[lint.scopes]\nparity = "src/*"\n',
+    "rule-exclude-string": '[lint.rules."FLOAT-EQ"]\nexclude = "tests/*"\n',
+    "strict-paths-string": (
+        '[lint.rules."RNG-SEED"]\nstrict_paths = "src/*"\n'
+    ),
+    "test-globs-string": (
+        '[lint.rules."PARITY-ORPHAN"]\ntest_globs = "tests/*"\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("toml", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_config_is_usage_error(tmp_path, capsys, toml):
+    (tmp_path / "lint.toml").write_text(toml)
+    (tmp_path / "mod.py").write_text(VIOLATION)
     assert main(["--root", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert "repro.lint:" in capsys.readouterr().err
 
 
 def test_unparseable_file_fails_the_gate(tmp_path, capsys):
     root = _repo(tmp_path, "def broken(:\n")
     assert main(["--root", str(root)]) == 1
     assert "PARSE-ERROR" in capsys.readouterr().out
+
+
+def test_file_with_a_utf8_bom_lints_clean(tmp_path, capsys):
+    root = _repo(tmp_path, CLEAN)
+    (root / "mod.py").write_bytes(b"\xef\xbb\xbf" + CLEAN.encode())
+    assert main(["--root", str(root)]) == 0
+    assert "0 findings in 1 file(s)" in capsys.readouterr().out
+
+
+def test_coding_cookie_is_honoured(tmp_path, capsys):
+    """A latin-1 file with a PEP 263 cookie runs under Python, so the
+    linter decodes it the same way and reports its real finding."""
+    root = _repo(tmp_path, CLEAN)
+    (root / "mod.py").write_bytes(
+        "# -*- coding: latin-1 -*-\n"
+        "CAFE = 'caf\u00e9'\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        "    return x == 0.5\n".encode("latin-1")
+    )
+    assert main(["--root", str(root), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["line"]) for f in payload["findings"]] == [
+        ("FLOAT-EQ", 6)
+    ]
+
+
+def test_undecodable_file_is_one_parse_error(tmp_path, capsys):
+    root = _repo(tmp_path, CLEAN)
+    (root / "mod.py").write_bytes(
+        b"x = 1\n\n\ndef f():\n    return 'caf\xe9'\n"
+    )
+    assert main(["--root", str(root), "--project", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["rule"] for f in payload["findings"]] == ["PARSE-ERROR"]
+    assert "decode" in payload["findings"][0]["message"]
 
 
 def _git(root, *argv):
@@ -243,10 +302,5 @@ def test_project_stats_land_in_the_json_artifact(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(artifact.read_text())
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     assert payload["project"]["modules"] == 1
-    assert (
-        payload["project"]["cache_hits"]
-        + payload["project"]["cache_misses"]
-        == 1
-    )

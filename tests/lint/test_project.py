@@ -8,6 +8,10 @@ resolution shape it claims to handle.
 
 from __future__ import annotations
 
+import ast
+import shutil
+import tokenize
+
 import pytest
 
 from repro.lint import LintConfig, run_lint
@@ -21,7 +25,7 @@ from tests.lint.conftest import (
     project_config,
 )
 
-#: rule id -> (bad fixture project, minimum findings, good project)
+#: rule id -> (bad fixture project, exact findings, good project)
 PROJECT_CORPUS = {
     "TAINT-FLOW": ("taint_flow_bad", 2, "taint_flow_good"),
     "LOCK-CALL": ("lock_call_bad", 1, "lock_call_good"),
@@ -33,11 +37,11 @@ PROJECT_CORPUS = {
 
 @pytest.mark.parametrize("rule_id", sorted(PROJECT_CORPUS))
 def test_bad_project_triggers_rule(rule_id):
-    bad, minimum, _ = PROJECT_CORPUS[rule_id]
+    bad, expected, _ = PROJECT_CORPUS[rule_id]
     result = lint_project_fixture(bad)
     hits = [f for f in result.findings if f.rule == rule_id]
-    assert len(hits) >= minimum, (
-        f"{bad}: expected >= {minimum} {rule_id} findings, got "
+    assert len(hits) == expected, (
+        f"{bad}: expected {expected} {rule_id} findings, got "
         f"{[(f.path, f.line, f.rule) for f in result.findings]}"
     )
     for finding in hits:
@@ -167,16 +171,49 @@ def test_caller_files_walks_the_reverse_graph():
     assert "cycle.py" not in impacted
 
 
-def test_summary_cache_hits_on_unchanged_content():
-    root = INTERPROC / "callgraph"
-    config = project_config(root)
-    files = iter_python_files([root], config)
-    first = build_project(files, config)
-    assert first.summaries
-    second = build_project(files, config)
-    assert second.cache_hits == len(second.summaries)
-    assert second.cache_misses == 0
-    assert second.summaries == first.summaries
+def _fixture_copy(name: str, tmp_path):
+    """A fresh copy of an interproc fixture project."""
+    root = tmp_path / name
+    shutil.copytree(
+        INTERPROC / name,
+        root,
+        ignore=shutil.ignore_patterns(".lint-cache", "__pycache__"),
+    )
+    return root
+
+
+def test_project_pass_parses_and_tokenizes_each_file_once(
+    monkeypatch, tmp_path
+):
+    """The per-file rules and the project summary share one context:
+    one ``ast.parse`` and one token pass per file and run."""
+    root = _fixture_copy("callgraph", tmp_path)
+    calls = {"parse": 0, "tokenize": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+    monkeypatch.setattr(
+        tokenize,
+        "generate_tokens",
+        counting("tokenize", tokenize.generate_tokens),
+    )
+    result = run_lint([root], project_config(root), project=True)
+    assert result.files_scanned == result.project["modules"] == 6
+    assert calls == {"parse": 6, "tokenize": 6}
+
+
+def test_project_pass_writes_nothing_under_its_root(tmp_path):
+    root = _fixture_copy("taint_flow_bad", tmp_path)
+    before = sorted(root.rglob("*"))
+    result = run_lint([root], project_config(root), project=True)
+    assert result.findings  # the pass really ran over the copy
+    assert sorted(root.rglob("*")) == before
 
 
 def test_project_stats_are_reported():
@@ -185,10 +222,6 @@ def test_project_stats_are_reported():
     assert result.project["modules"] == 6
     assert result.project["functions"] > 0
     assert result.project["call_edges"] >= 6
-    assert (
-        result.project["cache_hits"] + result.project["cache_misses"]
-        == result.project["modules"]
-    )
 
 
 def test_project_pass_off_by_default(tmp_path):

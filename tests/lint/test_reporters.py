@@ -38,7 +38,7 @@ def test_json_report_top_level_schema_is_pinned(tmp_path):
         "project",
     }
     assert payload["schema"] == REPORT_SCHEMA == "repro-lint-report"
-    assert payload["version"] == REPORT_VERSION == 2
+    assert payload["version"] == REPORT_VERSION == 3
     assert payload["ok"] is False
     assert payload["project"] is None  # project pass did not run
     assert set(payload["summary"]) == {"new", "baselined", "stale", "by_rule"}
@@ -89,13 +89,7 @@ def test_project_stats_render_in_both_formats(tmp_path):
     config.roots = ["."]
     result = run_lint([tmp_path], config, project=True)
     payload = json.loads(render_json(result))
-    assert set(payload["project"]) == {
-        "modules",
-        "functions",
-        "call_edges",
-        "cache_hits",
-        "cache_misses",
-    }
+    assert set(payload["project"]) == {"modules", "functions", "call_edges"}
     assert payload["project"]["modules"] == 1
     assert "project pass:" in render_human(result)
 

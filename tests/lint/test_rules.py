@@ -1,7 +1,7 @@
 """Rule behaviour against the fixture corpus.
 
 One triggering and one clean snippet per rule: the bad file must
-produce at least the expected number of findings *of that rule*, and
+produce exactly the expected number of findings *of that rule*, and
 the good file must produce no findings at all (under a config where
 every rule applies everywhere -- clean means clean).
 """
@@ -14,7 +14,7 @@ from repro.lint import RULES, Severity
 
 from tests.lint.conftest import lint_fixture
 
-#: rule id -> (bad fixture, minimum findings, good fixture)
+#: rule id -> (bad fixture, exact findings, good fixture)
 CORPUS = {
     "FLOAT-EQ": ("float_eq_bad.py", 6, "float_eq_good.py"),
     "FLOAT-APPROX": ("float_approx_bad.py", 4, "float_approx_good.py"),
@@ -45,11 +45,11 @@ def test_corpus_covers_every_registered_rule():
 
 @pytest.mark.parametrize("rule_id", sorted(CORPUS))
 def test_bad_fixture_triggers_rule(rule_id):
-    bad, minimum, _ = CORPUS[rule_id]
+    bad, expected, _ = CORPUS[rule_id]
     findings = lint_fixture(bad)
     hits = [f for f in findings if f.rule == rule_id]
-    assert len(hits) >= minimum, (
-        f"{bad}: expected >= {minimum} {rule_id} findings, got "
+    assert len(hits) == expected, (
+        f"{bad}: expected {expected} {rule_id} findings, got "
         f"{[(f.line, f.rule) for f in findings]}"
     )
     for finding in hits:
