@@ -113,10 +113,6 @@ class ServingConfig:
         Longest a blocking ``submit()`` may wait on a full queue
         before raising (None: wait indefinitely).  Ignored under
         ``"reject"``.
-    latency_window:
-        How many recent completions feed the p50/p99 latency
-        percentiles of :meth:`~repro.serving.server.PipelineServer.
-        stats`.
     cache:
         Response-cache mode (:data:`SERVING_CACHE_MODES`).  ``"off"``
         (default) serves every request through the batcher; ``"lru"``
@@ -136,7 +132,6 @@ class ServingConfig:
     queue_capacity: int = 256
     overflow: str = "block"
     submit_timeout_s: float | None = None
-    latency_window: int = 2048
     cache: str = "off"
     cache_max_entries: int = 1024
 
@@ -163,8 +158,6 @@ class ServingConfig:
             raise ValueError(
                 "submit_timeout_s must be finite and non-negative, or None"
             )
-        if self.latency_window <= 0:
-            raise ValueError("latency_window must be positive")
         if self.cache not in SERVING_CACHE_MODES:
             raise ValueError(
                 f"unknown cache mode {self.cache!r}; choose one of "

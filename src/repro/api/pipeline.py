@@ -18,7 +18,6 @@ protection baselines resolve through the registries in
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 
@@ -207,9 +206,9 @@ class HybridPipeline:
         Probabilities, verdicts and decisions are bitwise identical to
         n :meth:`infer` calls (see
         ``benchmarks/test_batch_inference.py`` and
-        ``tests/core/test_qualifier_batch.py``).
+        ``tests/core/test_qualifier_batch.py``).  The call reads no
+        clock: callers that want wall time measure it themselves.
         """
-        start = time.perf_counter()
         if qualifier_views is not None:
             self._require_view_support()
             results = self.hybrid.infer_batch(
@@ -217,9 +216,7 @@ class HybridPipeline:
             )
         else:
             results = self.hybrid.infer_batch(images)
-        return BatchResult(
-            results, elapsed_seconds=time.perf_counter() - start
-        )
+        return BatchResult(results)
 
     def infer_stream(
         self,

@@ -20,8 +20,6 @@ class BatchResult:
     ----------
     results:
         One entry per input image, in input order.
-    elapsed_seconds:
-        Wall-clock time of the whole batch (CNN forward + qualifier).
     decision_counts:
         ``Decision.value -> count`` over the batch; every decision kind
         appears, zero-count included, so dashboards see a stable key
@@ -29,7 +27,6 @@ class BatchResult:
     """
 
     results: list[HybridResult]
-    elapsed_seconds: float = 0.0
     decision_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -56,13 +53,6 @@ class BatchResult:
         return len(self.results)
 
     @property
-    def throughput(self) -> float:
-        """Images per second (0.0 when timing was not recorded)."""
-        if self.elapsed_seconds <= 0.0:
-            return 0.0
-        return self.n_images / self.elapsed_seconds
-
-    @property
     def probabilities(self) -> np.ndarray:
         """Stacked ``(n, classes)`` softmax confidences."""
         if not self.results:
@@ -85,11 +75,9 @@ class BatchResult:
         return self.decision_counts.get(Decision.CONFIRMED.value, 0)
 
     def summary(self) -> str:
-        """One-paragraph batch report."""
-        lines = [
-            f"{self.n_images} images in {self.elapsed_seconds:.3f}s "
-            f"({self.throughput:.1f} img/s)"
-        ]
+        """One-paragraph batch report: the image count and the
+        non-zero decision counts."""
+        lines = [f"{self.n_images} images"]
         for value, count in self.decision_counts.items():
             if count:
                 lines.append(f"  {value:<24} {count}")

@@ -94,13 +94,13 @@ def _bitwise_equal(served, serial) -> bool:
     sr, lr = served.reliable_report, serial.reliable_report
     if (sr is None) != (lr is None):
         return False
-    if sr is not None and (
-        sr.errors_detected != lr.errors_detected
-        or sr.rollbacks != lr.rollbacks
-        or sr.persistent_failures != lr.persistent_failures
-    ):
-        return False
-    return True
+    return sr is None or (
+        sr.operations, sr.errors_detected, sr.rollbacks,
+        sr.persistent_failures, sr.operator_kind, sr.failed_outputs,
+    ) == (
+        lr.operations, lr.errors_detected, lr.rollbacks,
+        lr.persistent_failures, lr.operator_kind, lr.failed_outputs,
+    )
 
 
 @dataclass(frozen=True, kw_only=True)

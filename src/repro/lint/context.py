@@ -18,6 +18,7 @@ file's whole-program summary (:mod:`repro.lint.project`).
 from __future__ import annotations
 
 import ast
+import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,30 +79,43 @@ class FileContext:
     def parse(cls, rel_path: str, source: str) -> "FileContext":
         tree = ast.parse(source)
         nodes = list(ast.walk(tree))
+        # Numbered the way the tokenizer and the AST number lines:
+        # ``str.splitlines`` would also break at form feed, \x1c-\x1e,
+        # \x85, \u2028 and \u2029.
+        lines = source.split("\n")
         return cls(
             rel_path=rel_path,
             source=source,
             tree=tree,
-            suppressions=Suppressions.scan(source),
+            suppressions=Suppressions.scan(source, lines),
             nodes=nodes,
             imports=build_import_map(nodes),
-            lines=source.splitlines(),
+            lines=lines,
         )
 
     @classmethod
     def read(cls, path: Path, rel_path: str) -> "FileContext":
         """:meth:`parse` the file at ``path``, decoded the way Python
-        decodes it (UTF-8 BOM, PEP 263 coding cookie).  A file that
-        does not decode raises ``SyntaxError``, like one that does not
-        parse."""
-        with tokenize.open(path) as handle:
-            try:
-                source = handle.read()
-            except UnicodeDecodeError as error:
-                raise SyntaxError(
-                    f"cannot decode as {handle.encoding} ({error.reason})"
-                ) from None
-        return cls.parse(rel_path, source)
+        decodes it (UTF-8 BOM, PEP 263 coding cookie, universal
+        newlines).  A file that does not decode raises ``SyntaxError``
+        at its first bad byte, like one that does not parse."""
+        raw = path.read_bytes()
+        encoding, _ = tokenize.detect_encoding(io.BytesIO(raw).readline)
+        try:
+            source = raw.decode(encoding)
+        except UnicodeDecodeError as error:
+            # The offset is into what the codec saw (a BOM excluded).
+            seen = error.object[: error.start]
+            raise SyntaxError(
+                f"cannot decode as {encoding} ({error.reason})",
+                (
+                    rel_path,
+                    seen.count(b"\n") + 1,
+                    len(seen) - seen.rfind(b"\n"),
+                    None,
+                ),
+            ) from None
+        return cls.parse(rel_path, io.StringIO(source, newline=None).read())
 
     def line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -55,8 +55,9 @@ class Suppressions:
     citations: list[dict] = field(default_factory=list)
 
     @classmethod
-    def scan(cls, source: str) -> "Suppressions":
-        """One token pass over ``source``.
+    def scan(cls, source: str, lines: list[str]) -> "Suppressions":
+        """One token pass over ``source``, whose ``lines`` are numbered
+        like its tokens.
 
         A justification routinely wraps across a comment *block*::
 
@@ -69,7 +70,6 @@ class Suppressions:
         (sharing its line with code) is scanned alone.
         """
         supp = cls()
-        lines = source.splitlines()
         try:
             tokens = list(
                 tokenize.generate_tokens(io.StringIO(source).readline)

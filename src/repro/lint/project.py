@@ -256,7 +256,13 @@ class _FunctionWalker(ast.NodeVisitor):
                 handled = True
         if handled:
             self.calls.append(entry)
-        self.generic_visit(node)
+        if entry.get("target") in ENV_CALLS:
+            # The call is the read: skip the ``os.environ`` inside the
+            # callee, one source per read as AMBIENT-ENV reports it.
+            for child in (*node.args, *node.keywords):
+                self.visit(child)
+        else:
+            self.generic_visit(node)
 
     def _record_registration(self, node: ast.Call, registry: str) -> None:
         """``REG.register("key", target)`` -- the call form.  The
@@ -305,6 +311,13 @@ class _FunctionWalker(ast.NodeVisitor):
             # deterministic and not a taint source (stream-correlation
             # policy stays with the lexical RNG-SEED rule).
             self._record_source("RNG-SEED", "default_rng()", node)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        if self.ctx.qualname(node.value) == "os.environ":
+            self._record_source("AMBIENT-ENV", "os.environ", node)
+            self.visit(node.slice)
+        else:
+            self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if self.ctx.qualname(node) == "os.environ":

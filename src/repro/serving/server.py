@@ -139,11 +139,15 @@ class _Request:
         self.qualifier_view = qualifier_view
         self.pending = pending
         #: Set only on a cache *leader*: the key whose single flight
-        #: this request carries.  Every completion path (flush,
-        #: failure demux, cancel, batcher crash) must close the flight
-        #: -- publish on success, abort otherwise -- so joined
-        #: followers never hang.
+        #: this request carries.  A request ends through
+        #: :meth:`PipelineServer._publish_cached_result` or
+        #: :meth:`PipelineServer._end`, and both close the flight, so
+        #: joined followers never hang.
         self.cache_key: tuple[str, str] | None = None
+
+
+def _closed() -> ServerClosed:
+    return ServerClosed("server stopped without draining")
 
 
 class PipelineServer:
@@ -207,7 +211,7 @@ class PipelineServer:
         self._queue: queue.Queue[_Request | None] = queue.Queue(
             maxsize=self.config.queue_capacity
         )
-        self._recorder = StatsRecorder(self.config.latency_window)
+        self._recorder = StatsRecorder()
         #: Content-addressed response cache (None under cache="off").
         #: Safe because served results are bitwise-deterministic per
         #: (input digest, pipeline content hash) -- see
@@ -368,22 +372,13 @@ class PipelineServer:
             outcome, cached = self._cache.lookup_or_join(
                 key, request.pending
             )
+            self._recorder.record_lookup(outcome)
             if outcome == "hit":
-                self._recorder.record_submitted()
-                flagged = bool(getattr(cached, "flagged", False))
-                if flagged:
-                    self._route_degraded(cached)
-                request.pending._complete(cached)
-                self._recorder.record_cache_hit(
-                    request.pending.latency_seconds, degraded=flagged
-                )
+                self._deliver(request.pending, cached, cached=True)
                 return request.pending
             if outcome == "joined":
-                self._recorder.record_submitted()
-                self._recorder.record_coalesced_join()
                 return request.pending
             request.cache_key = key
-            self._recorder.record_cache_miss()
         try:
             if self.config.overflow == "reject":
                 self._queue.put_nowait(request)
@@ -395,17 +390,17 @@ class PipelineServer:
             self._recorder.record_rejected()
             # A refused leader must close its flight: followers that
             # joined during the enqueue attempt fail with it.  They
-            # were already counted submitted, so they are accounted as
-            # cancelled (accepted but abandoned), not rejected.
-            refused = self._abort_cached_flight(
+            # were already counted submitted, so they end cancelled
+            # (accepted but abandoned).  The leader itself was never
+            # accepted: its caller gets the raise, not the handle.
+            self._end(
                 request,
                 ServerOverloaded(
                     "coalesced onto a submission that backpressure "
                     "refused"
                 ),
+                followers_only=True,
             )
-            if refused:
-                self._recorder.record_cancelled(refused)
             raise ServerOverloaded(
                 f"queue at capacity ({self.config.queue_capacity}); "
                 f"overflow policy {self.config.overflow!r}"
@@ -444,23 +439,8 @@ class PipelineServer:
             failure = ServerError(f"batcher thread died: {error!r}")
             failure.__cause__ = error
             for request in self._inflight:
-                if not request.pending.done():
-                    request.pending._fail(failure)
-                    self._recorder.record_cancelled()
-                joined = self._abort_cached_flight(request, failure)
-                if joined:
-                    self._recorder.record_cancelled(joined)
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not None:
-                    item.pending._fail(failure)
-                    self._recorder.record_cancelled()
-                    joined = self._abort_cached_flight(item, failure)
-                    if joined:
-                        self._recorder.record_cancelled(joined)
+                self._end(request, failure)
+            self._cancel_remaining(failure)
             with self._state_lock:
                 self._accepting = False
 
@@ -486,14 +466,7 @@ class PipelineServer:
                     self._drain_remaining()
                 else:
                     if item is not None:
-                        closed = ServerClosed(
-                            "server stopped without draining"
-                        )
-                        item.pending._fail(closed)
-                        self._recorder.record_cancelled()
-                        joined = self._abort_cached_flight(item, closed)
-                        if joined:
-                            self._recorder.record_cancelled(joined)
+                        self._end(item, _closed())
                     self._cancel_remaining()
                 break
             batch = [item]
@@ -527,14 +500,7 @@ class PipelineServer:
                 # repro: allow[LOCK-GUARD] -- batcher-side flag read
                 # (see the poll-loop justification above).
                 if not self._accepting and not self._draining:
-                    closed = ServerClosed(
-                        "server stopped without draining"
-                    )
-                    extra.pending._fail(closed)
-                    self._recorder.record_cancelled()
-                    joined = self._abort_cached_flight(extra, closed)
-                    if joined:
-                        self._recorder.record_cancelled(joined)
+                    self._end(extra, _closed())
                     stopping = True
                     break
                 batch.append(extra)
@@ -570,23 +536,16 @@ class PipelineServer:
             self._flush(batch)
         self._inflight = []
 
-    def _cancel_remaining(self) -> None:
-        cancelled = 0
+    def _cancel_remaining(self, error: BaseException | None = None) -> None:
+        """End everything still queued, counted cancelled: with
+        ``error`` when the batcher died, else with :class:`ServerClosed`."""
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if item is None:
-                continue
-            closed = ServerClosed("server stopped without draining")
-            item.pending._fail(closed)
-            cancelled += 1
-            # A cancelled leader closes its flight: joiners were
-            # counted submitted, so they count as cancelled too.
-            cancelled += self._abort_cached_flight(item, closed)
-        if cancelled:
-            self._recorder.record_cancelled(cancelled)
+            if item is not None:
+                self._end(item, _closed() if error is None else error)
 
     def _flush(self, batch: list[_Request]) -> None:
         """Run one micro-batch and demux results to their requests.
@@ -607,16 +566,9 @@ class PipelineServer:
                 None if view is None else view.shape,
             )
             groups.setdefault(key, []).append(request)
-        degraded = 0
-        failures = 0
-        completed = 0
-        latencies: list[float] = []
-        # The ledger entry is written in a finally so a flush that
-        # dies mid-way (BatcherCrash below, MemoryError while
-        # stacking) still accounts for the groups it already demuxed;
-        # the serve loop's crash handler then accounts for the rest --
-        # without this, completions delivered before the crash would
-        # vanish from the books.
+        # Each request is counted where its handle completes; the
+        # flush itself is counted when it ends, crashed (BatcherCrash
+        # below, MemoryError while stacking) or not.
         try:
             for (image_shape, view_shape), requests in groups.items():
                 try:
@@ -648,48 +600,65 @@ class PipelineServer:
                     raise
                 except BaseException as error:  # noqa: BLE001 -- demuxed
                     for request in requests:
-                        request.pending._fail(error)
-                        failures += 1
-                        # Errors are never cached: close the flight so
-                        # the key recomputes next time, and fail its
-                        # joiners.
-                        joined = self._abort_cached_flight(request, error)
-                        if joined:
-                            self._recorder.record_followers_failed(joined)
+                        self._end(request, error, failed=True)
                     continue
                 for request, result in zip(requests, results):
-                    flagged = bool(getattr(result, "flagged", False))
-                    if flagged:
-                        degraded += 1
-                        self._route_degraded(result)
-                    request.pending._complete(result)
-                    completed += 1
-                    latency = request.pending.latency_seconds
-                    if latency is not None:
-                        latencies.append(latency)
-                    self._publish_cached_result(request, result, flagged)
+                    self._deliver(request.pending, result, cached=False)
+                    self._publish_cached_result(request, result)
         finally:
-            self._recorder.record_batch(
-                len(batch), latencies, completed=completed,
-                failures=failures, degraded=degraded,
-            )
+            self._recorder.record_flush(len(batch))
+
+    def _deliver(
+        self, pending: PendingResult, result, cached: bool
+    ) -> None:
+        """Complete one handle with ``result`` and count the delivery
+        once.  A qualifier-flagged result is routed to the degradation
+        hook first -- once per logical request, cached or computed."""
+        flagged = bool(getattr(result, "flagged", False))
+        if flagged:
+            self._route_degraded(result)
+        pending._complete(result)
+        self._recorder.record_delivery(
+            pending.latency_seconds, cached, flagged
+        )
+
+    def _end(
+        self,
+        request: _Request,
+        error: BaseException,
+        failed: bool = False,
+        followers_only: bool = False,
+    ) -> None:
+        """End ``request`` with ``error``: fail its handle if still
+        pending, close its cache flight uncached (the key recomputes
+        next time), and fail every follower that joined it.  All of
+        them are counted once, as ``failed`` (the pipeline raised) or
+        ``cancelled``.  ``followers_only`` leaves the request's own
+        handle alone (a refused leader's caller gets a raise)."""
+        ended = (
+            []
+            if followers_only or request.pending.done()
+            else [request.pending]
+        )
+        if request.cache_key is not None and self._cache is not None:
+            ended += self._cache.abort(request.cache_key)
+        for pending in ended:
+            pending._fail(error)
+        if ended:
+            self._recorder.record_ended(len(ended), failed)
 
     def _route_degraded(self, result) -> None:
         """Fire the degradation hook for one qualifier-flagged logical
-        request (delivery is unaffected; hook errors are swallowed).
-        Cached and coalesced deliveries route here too -- once per
-        logical request, not once per inference."""
+        request (delivery is unaffected; hook errors are swallowed)."""
         if self.on_degraded is not None:
             try:
                 self.on_degraded(result)
             except Exception:  # noqa: BLE001 -- supervisory
                 pass
 
-    def _publish_cached_result(
-        self, request: _Request, result, flagged: bool
-    ) -> None:
-        """Store a leader's result and complete its joined followers
-        with the *same object* -- bitwise-identical delivery by
+    def _publish_cached_result(self, request: _Request, result) -> None:
+        """Store a leader's result and deliver it to its joined
+        followers as the *same object* -- bitwise-identical delivery by
         construction."""
         if request.cache_key is None or self._cache is None:
             return
@@ -698,31 +667,5 @@ class PipelineServer:
         )
         if evicted:
             self._recorder.record_cache_evictions(evicted)
-        if not followers:
-            return
-        follower_latencies: list[float] = []
-        follower_degraded = 0
         for pending in followers:
-            if flagged:
-                follower_degraded += 1
-                self._route_degraded(result)
-            pending._complete(result)
-            latency = pending.latency_seconds
-            if latency is not None:
-                follower_latencies.append(latency)
-        self._recorder.record_followers_completed(
-            follower_latencies, degraded=follower_degraded
-        )
-
-    def _abort_cached_flight(
-        self, request: _Request, error: BaseException
-    ) -> int:
-        """Close a leader's flight without caching; fail its joined
-        followers with ``error``.  Returns how many were failed."""
-        if request.cache_key is None or self._cache is None:
-            return 0
-        followers = self._cache.abort(request.cache_key)
-        for pending in followers:
-            if not pending.done():
-                pending._fail(error)
-        return len(followers)
+            self._deliver(pending, result, cached=True)

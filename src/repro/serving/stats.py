@@ -22,14 +22,20 @@ class ServerStats:
     Attributes
     ----------
     submitted, completed, failed:
-        Requests accepted into the queue, requests whose result was
-        delivered, and requests completed with an error (the pipeline
-        raised; the exception is re-raised by ``PendingResult.result``).
+        Requests accepted (into the queue, or answered or joined by
+        the response cache), requests whose result was delivered, and
+        requests completed with an error (the pipeline raised; the
+        exception is re-raised by ``PendingResult.result``).  Each
+        request is counted once, where its handle completes, so
+        ``submitted == completed + failed + cancelled`` once nothing
+        is pending.
     rejected:
         Submissions refused by backpressure (``overflow="reject"`` with
         a full queue, or a ``block`` submission that timed out).
     cancelled:
-        Requests abandoned by a non-draining stop.
+        Requests abandoned: by a non-draining stop, by a batcher
+        death, or as followers of a cache leader that backpressure
+        refused.
     degraded:
         Completed results whose decision was qualifier-flagged and
         therefore routed to the degradation hook (see
@@ -48,7 +54,7 @@ class ServerStats:
         by dividing all-time completions by only the latest run.
     p50_latency_ms, p99_latency_ms:
         Submit-to-completion latency percentiles over the most recent
-        ``latency_window`` completions (0.0 before any completion).
+        :data:`LATENCY_WINDOW` deliveries (0.0 before any delivery).
     uptime_seconds:
         Total wall time the server has spent running, accumulated
         across stop/start cycles (frozen while stopped).
@@ -72,12 +78,14 @@ class ServerStats:
         submissions that did *not* cost a dedicated inference (0.0
         before any lookup).
     p50_cached_latency_ms, p99_cached_latency_ms:
-        Latency percentiles over cached deliveries only (store hits
-        and coalesced joins) -- what repeat traffic experiences.
+        Latency percentiles over the cached part of the same window
+        (store hits and coalesced joins) -- what repeat traffic
+        experiences.
     p50_computed_latency_ms, p99_computed_latency_ms:
-        Latency percentiles over computed deliveries only (requests
-        that went through a micro-batch flush) -- what unique traffic
-        experiences.  The overall ``p50/p99_latency_ms`` mix both.
+        Latency percentiles over the computed part of the same window
+        (requests that went through a micro-batch flush) -- what
+        unique traffic experiences.  The overall ``p50/p99_latency_ms``
+        mix both.
     """
 
     submitted: int
@@ -110,6 +118,10 @@ class ServerStats:
         return asdict(self)
 
 
+#: How many recent deliveries feed the latency percentiles.
+LATENCY_WINDOW = 2048
+
+
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile (the latency-reporting convention:
     p99 is an actual observed latency, never an interpolation)."""
@@ -121,7 +133,13 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 
 class StatsRecorder:
-    """Thread-safe accumulator behind :meth:`PipelineServer.stats`."""
+    """Thread-safe accumulator behind :meth:`PipelineServer.stats`.
+
+    The server records each request once, where its handle completes:
+    :meth:`record_delivery` for a result, :meth:`record_ended` for an
+    error.  One window of ``(seconds, cached)`` pairs holds the last
+    :data:`LATENCY_WINDOW` deliveries; :meth:`snapshot` splits it by
+    source."""
 
     #: Thread-safety contract, machine-checked by LOCK-GUARD: every
     #: counter is written by the batcher thread and read by snapshot
@@ -144,17 +162,13 @@ class StatsRecorder:
             "_stopped_at",
             "_uptime_before",
             "_latencies",
-            "_cached_latencies",
-            "_computed_latencies",
         ),
     }
 
-    def __init__(self, latency_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._cached_latencies: deque[float] = deque(maxlen=latency_window)
-        self._computed_latencies: deque[float] = deque(
-            maxlen=latency_window
+        self._latencies: deque[tuple[float, bool]] = deque(
+            maxlen=LATENCY_WINDOW
         )
         self.submitted = 0
         self.completed = 0
@@ -194,6 +208,7 @@ class StatsRecorder:
 
     # -- events ----------------------------------------------------------
     def record_submitted(self) -> None:
+        """One request accepted into the queue."""
         with self._lock:
             self.submitted += 1
 
@@ -201,74 +216,51 @@ class StatsRecorder:
         with self._lock:
             self.rejected += 1
 
-    def record_cancelled(self, count: int = 1) -> None:
+    def record_lookup(self, outcome: str) -> None:
+        """One response-cache resolution: ``"hit"``, ``"joined"`` or
+        ``"lead"``.  A hit or a join is accepted on the spot, so it is
+        counted submitted here; a leader is counted submitted only once
+        its enqueue succeeds (:meth:`record_submitted`)."""
         with self._lock:
-            self.cancelled += count
+            if outcome == "lead":
+                self.cache_misses += 1
+                return
+            self.submitted += 1
+            if outcome == "hit":
+                self.cache_hits += 1
+            else:
+                self.coalesced_joins += 1
 
-    # -- response-cache events --------------------------------------------
-    def record_cache_hit(
-        self, latency_s: float | None, degraded: bool = False
+    def record_delivery(
+        self, latency_s: float, cached: bool, degraded: bool
     ) -> None:
-        """One submission answered from the completed store."""
+        """One result delivered: from the cache (a hit or a joined
+        follower) or computed by a flush."""
         with self._lock:
-            self.cache_hits += 1
             self.completed += 1
-            if degraded:
-                self.degraded += 1
-            if latency_s is not None:
-                self._latencies.append(latency_s)
-                self._cached_latencies.append(latency_s)
-
-    def record_cache_miss(self) -> None:
-        """One submission granted a key's single-flight leadership."""
-        with self._lock:
-            self.cache_misses += 1
-
-    def record_coalesced_join(self) -> None:
-        """One submission attached to an in-flight leader."""
-        with self._lock:
-            self.coalesced_joins += 1
-
-    def record_followers_completed(
-        self, latencies_s: list[float], degraded: int = 0
-    ) -> None:
-        """Joined requests completed by their leader's flush."""
-        with self._lock:
-            self.completed += len(latencies_s)
             self.degraded += degraded
-            self._latencies.extend(latencies_s)
-            self._cached_latencies.extend(latencies_s)
+            self._latencies.append((latency_s, cached))
 
-    def record_followers_failed(self, count: int) -> None:
-        """Joined requests failed by their leader's failure."""
+    def record_ended(self, count: int, failed: bool) -> None:
+        """``count`` requests ended with an error: ``failed`` when the
+        pipeline raised, cancelled otherwise (stop, batcher death,
+        refused leader's followers)."""
         with self._lock:
-            self.failed += count
+            if failed:
+                self.failed += count
+            else:
+                self.cancelled += count
+
+    def record_flush(self, size: int) -> None:
+        """One micro-batch of ``size`` requests flushed (counted when
+        the flush ends, crashed or not)."""
+        with self._lock:
+            self.batches += 1
+            self._batched_requests += size
 
     def record_cache_evictions(self, count: int) -> None:
         with self._lock:
             self.cache_evictions += count
-
-    # repro: allow[PARITY-ORPHAN] -- a metrics accumulator, not a
-    # vectorized/scalar parity pair; counter correctness is covered by
-    # tests/serving/test_server.py and result parity by
-    # tests/serving/test_determinism.py.
-    def record_batch(
-        self, size: int, latencies_s: list[float], completed: int,
-        failures: int = 0, degraded: int = 0,
-    ) -> None:
-        """One flush's ledger entry.  ``completed`` is explicit rather
-        than inferred as ``size - failures``: a flush that dies mid-way
-        (deliberate chaos crash, MemoryError) has demuxed only part of
-        the batch, and the crash handler accounts for the remainder --
-        inferring would double- or under-count exactly then."""
-        with self._lock:
-            self.batches += 1
-            self._batched_requests += size
-            self.completed += completed
-            self.failed += failures
-            self.degraded += degraded
-            self._latencies.extend(latencies_s)
-            self._computed_latencies.extend(latencies_s)
 
     # -- snapshot --------------------------------------------------------
     def snapshot(
@@ -282,9 +274,12 @@ class StatsRecorder:
                 if end is None:
                     end = time.perf_counter()
                 uptime = self._uptime_before + (end - self._started_at)
-            ordered = sorted(self._latencies)
-            cached = sorted(self._cached_latencies)
-            computed = sorted(self._computed_latencies)
+            window = sorted(self._latencies)
+            ordered = [seconds for seconds, _ in window]
+            cached = [seconds for seconds, from_cache in window if from_cache]
+            computed = [
+                seconds for seconds, from_cache in window if not from_cache
+            ]
             lookups = (
                 self.cache_hits + self.cache_misses + self.coalesced_joins
             )

@@ -170,15 +170,13 @@ class TestBatchResult:
         assert isinstance(batch, BatchResult)
         assert batch.n_images == len(images)
         assert len(batch) == len(images)
-        assert batch.elapsed_seconds > 0
-        assert batch.throughput > 0
         assert batch.probabilities.shape == (len(images), 8)
         assert batch.predicted_classes.shape == (len(images),)
         # Every decision kind has a stable key, zero counts included.
         assert set(batch.decision_counts) == {d.value for d in Decision}
         assert sum(batch.decision_counts.values()) == len(images)
         assert batch.confirmed_count == batch.decision_counts["confirmed"]
-        assert "images in" in batch.summary()
+        assert batch.summary().startswith(f"{len(images)} images\n")
 
     def test_empty_batch(self, model):
         """An empty batch is a quiet no-op, not a shape error."""

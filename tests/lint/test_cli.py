@@ -202,6 +202,19 @@ def test_undecodable_file_is_one_parse_error(tmp_path, capsys):
     assert "decode" in payload["findings"][0]["message"]
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_undecodable_file_names_the_bad_byte(tmp_path, capsys, bom):
+    root = _repo(tmp_path, CLEAN)
+    (root / "mod.py").write_bytes(
+        bom + b"x = 1\n\n\ndef f():\n    return 'caf\xe9'\n"
+    )
+    assert main(["--root", str(root), "--format", "json"]) == 1
+    [finding] = json.loads(capsys.readouterr().out)["findings"]
+    assert (finding["rule"], finding["line"], finding["col"]) == (
+        "PARSE-ERROR", 5, 15
+    )
+
+
 def _git(root, *argv):
     subprocess.run(
         ["git", *argv],

@@ -84,3 +84,19 @@ def test_allow_file_is_per_rule(tmp_path):
         "    return x == 0.5 and time.time()\n",
     )
     assert [f.rule for f in findings] == ["AMBIENT-TIME"]
+
+
+def test_form_feed_is_not_a_line_break(tmp_path):
+    """The tokenizer and the AST treat a form feed as whitespace, so
+    pragmas and snippets must number lines the same way."""
+    source = (
+        "x = 1\n"
+        "\x0c\n"
+        "def f(y):\n"
+        "    # repro: allow[FLOAT-EQ] -- audited\n"
+        "    return y == 0.5\n"
+    )
+    assert _lint_source(tmp_path, source) == []
+    unwaived = source.replace("# repro: allow[FLOAT-EQ]", "# audited")
+    [finding] = _lint_source(tmp_path, unwaived)
+    assert (finding.line, finding.snippet) == (5, "return y == 0.5")

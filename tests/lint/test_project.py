@@ -17,7 +17,8 @@ import pytest
 from repro.lint import LintConfig, run_lint
 from repro.lint.callgraph import CallGraph
 from repro.lint.engine import iter_python_files
-from repro.lint.project import build_project, module_name_for
+from repro.lint.context import FileContext
+from repro.lint.project import build_project, module_name_for, summarize
 
 from tests.lint.conftest import (
     INTERPROC,
@@ -206,6 +207,24 @@ def test_project_pass_parses_and_tokenizes_each_file_once(
     result = run_lint([root], project_config(root), project=True)
     assert result.files_scanned == result.project["modules"] == 6
     assert calls == {"parse": 6, "tokenize": 6}
+
+
+def test_summary_records_one_source_per_environment_read():
+    ctx = FileContext.parse(
+        "mod.py",
+        "import os\n"
+        "def f():\n"
+        "    return os.environ.get('X'), os.environ['Y']\n",
+    )
+    sources = [
+        (source["rule"], source["what"])
+        for function in summarize(ctx)["functions"]
+        for source in function["sources"]
+    ]
+    assert sources == [
+        ("AMBIENT-ENV", "os.environ.get"),
+        ("AMBIENT-ENV", "os.environ"),
+    ]
 
 
 def test_project_pass_writes_nothing_under_its_root(tmp_path):

@@ -144,8 +144,8 @@ def test_crash_mid_flush_ledger_balances_and_no_handle_hangs():
 
 def test_crash_after_partial_flush_keeps_delivered_completions():
     """Flush 1 delivers, flush 2 crashes: the completions from the
-    healthy flush must survive in the ledger (explicit ``completed``
-    in record_batch, not inferred from batch size)."""
+    healthy flush must survive in the ledger (each delivery is counted
+    where its handle completes, not inferred from batch size)."""
     pipeline = _CrashingPipeline(crash_on_call=2)
     server = PipelineServer(
         pipeline,
@@ -222,6 +222,100 @@ def test_reject_storm_counts_every_refusal_separately():
     # The storm's refusals (plus the one that found the queue full
     # first) are all in ``rejected`` -- never folded into the ledger.
     assert stats.rejected == rejects + 1
+
+
+def _wait_for(predicate) -> None:
+    """Poll ``predicate`` for up to 2 s (bounded, never a hang)."""
+    pause = threading.Event()
+    for _ in range(200):
+        if predicate():
+            return
+        pause.wait(0.01)
+    pytest.fail("condition not reached within 2 s")
+
+
+def test_refused_cache_leader_cancels_its_joined_follower():
+    """A blocking submit times out on a full queue while a duplicate
+    has joined its flight: the leader is rejected (its caller gets the
+    raise), the follower was accepted, so it fails with the leader and
+    counts cancelled."""
+    pipeline = _SlowPipeline()
+    server = PipelineServer(
+        pipeline,
+        ServingConfig(
+            max_batch=1,
+            max_wait_ms=0.0,
+            queue_capacity=1,
+            overflow="block",
+            submit_timeout_s=1.0,
+            cache="lru",
+        ),
+    )
+    server.start()
+    accepted = [server.submit(_image(0.1))]  # held in the flush
+    _wait_for(lambda: server.stats().queue_depth == 0)
+    accepted.append(server.submit(_image(0.2)))  # fills the queue
+    refused: list[BaseException] = []
+
+    def submit_leader() -> None:
+        try:
+            server.submit(_image(0.3))
+        except ServerOverloaded as error:
+            refused.append(error)
+
+    leader = threading.Thread(target=submit_leader)
+    leader.start()
+    _wait_for(lambda: server.stats().cache_misses == 3)
+    follower = server.submit(_image(0.3))  # joins the blocked leader
+    leader.join(TIMEOUT_S)
+    assert not leader.is_alive()
+    assert len(refused) == 1
+    with pytest.raises(ServerOverloaded):
+        follower.result(timeout=TIMEOUT_S)
+    pipeline.release.set()
+    for handle in accepted:
+        handle.result(timeout=TIMEOUT_S)
+    server.stop(drain=True, timeout=TIMEOUT_S)
+    stats = server.stats()
+    assert _ledger_balances(stats), stats
+    assert stats.rejected == 1
+    assert stats.cancelled == 1
+    assert stats.coalesced_joins == 1
+    assert stats.cache_misses == 3
+    assert stats.completed == 2
+
+
+class _HeldCrashPipeline(_SlowPipeline):
+    """Holds the first flush until released, then kills the batcher."""
+
+    def infer_batch(self, images, qualifier_views=None):
+        super().infer_batch(images, qualifier_views)
+        raise BatcherCrash("stub crash after hold")
+
+
+def test_crash_cancels_a_queued_leader_and_its_followers():
+    pipeline = _HeldCrashPipeline()
+    server = PipelineServer(
+        pipeline,
+        ServingConfig(
+            max_batch=1, max_wait_ms=0.0, queue_capacity=4, cache="lru"
+        ),
+    )
+    server.start()
+    handles = [server.submit(_image(0.1))]  # held, then crashes
+    _wait_for(lambda: server.stats().queue_depth == 0)
+    handles += [server.submit(_image(0.5)) for _ in range(3)]
+    assert server.stats().coalesced_joins == 2
+    pipeline.release.set()
+    for handle in handles:
+        with pytest.raises(Exception):
+            handle.result(timeout=TIMEOUT_S)
+    server.stop(drain=False, timeout=TIMEOUT_S)
+    stats = server.stats()
+    assert _ledger_balances(stats), stats
+    assert stats.cancelled == 4
+    assert stats.coalesced_joins == 2
+    assert stats.completed == 0
 
 
 class _FailingPipeline:

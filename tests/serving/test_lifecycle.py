@@ -63,7 +63,8 @@ def test_recorder_restart_accumulates_uptime():
     recorder = StatsRecorder()
     recorder.mark_started()
     time.sleep(0.05)
-    recorder.record_batch(100, [], completed=100)
+    for _ in range(100):
+        recorder.record_delivery(0.001, cached=False, degraded=False)
     recorder.mark_stopped()
     first = recorder.snapshot(0)
     assert first.completed == 100

@@ -295,7 +295,6 @@ def test_serving_config_validation_and_round_trip():
         queue_capacity=64,
         overflow="reject",
         submit_timeout_s=2.0,
-        latency_window=128,
     )
     assert ServingConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ValueError):
@@ -313,7 +312,5 @@ def test_serving_config_validation_and_round_trip():
             ServingConfig(max_wait_ms=value)
         with pytest.raises(ValueError):
             ServingConfig(submit_timeout_s=value)
-    with pytest.raises(ValueError):
-        ServingConfig(latency_window=0)
     with pytest.raises(ValueError):
         ServingConfig.from_dict({"max_batch": 8, "burst": True})
