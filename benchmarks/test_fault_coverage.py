@@ -9,11 +9,19 @@ the paper's interest in spatial/diverse redundancy).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.faults.campaign import run_operator_campaign
-from repro.faults.models import TransientFault
+from repro.campaigns import CampaignSpec, FaultSpec, run_campaign
 from repro.workflows import run_bucket_dynamics, run_coverage_study
+
+
+def transient_campaign(operator_kind: str) -> CampaignSpec:
+    """100 single-element trials under p = 0.01 transients."""
+    return CampaignSpec(
+        target="reliable_conv",
+        fault=FaultSpec(kind="transient", params={"probability": 0.01}),
+        trials=100,
+        seed=1,
+        target_params={"operator_kind": operator_kind},
+    )
 
 
 def test_coverage_report():
@@ -42,13 +50,7 @@ def test_bucket_dynamics_report():
 
 def test_benchmark_dmr_campaign(benchmark):
     result = benchmark.pedantic(
-        run_operator_campaign,
-        kwargs={
-            "fault_factory": lambda rng: TransientFault(0.01, rng),
-            "operator_kind": "dmr",
-            "runs": 100,
-            "seed": 1,
-        },
+        run_campaign, args=(transient_campaign("dmr"),),
         rounds=1, iterations=1,
     )
     assert result.detection_coverage == 1.0
@@ -56,13 +58,7 @@ def test_benchmark_dmr_campaign(benchmark):
 
 def test_benchmark_tmr_campaign(benchmark):
     result = benchmark.pedantic(
-        run_operator_campaign,
-        kwargs={
-            "fault_factory": lambda rng: TransientFault(0.01, rng),
-            "operator_kind": "tmr",
-            "runs": 100,
-            "seed": 1,
-        },
+        run_campaign, args=(transient_campaign("tmr"),),
         rounds=1, iterations=1,
     )
     assert result.silent_corruption_rate == 0.0

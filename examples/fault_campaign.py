@@ -11,15 +11,12 @@ Run:  python examples/fault_campaign.py
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.campaigns import CampaignSpec, FaultSpec, run_campaign
 from repro.core.guarantee import (
     bucket_overflow_probability,
     dmr_residual_risk,
     plain_sdc_probability,
 )
-from repro.faults.campaign import run_operator_campaign
-from repro.faults.models import PermanentFault, TransientFault
 from repro.workflows import run_bucket_dynamics, run_coverage_study
 
 
@@ -34,11 +31,19 @@ def main() -> None:
     print(study.to_text())
 
     print("\n=== the common-mode lesson ===")
-    permanent_dmr = run_operator_campaign(
-        lambda rng: PermanentFault(bit=28, rng=rng),
-        operator_kind="dmr", runs=50, seed=1,
+    permanent_dmr = run_campaign(CampaignSpec(
+        target="reliable_conv",
+        fault=FaultSpec(kind="permanent", params={"bit": 28}),
+        trials=50,
+        seed=1,
+        target_params={"operator_kind": "dmr"},
+    ))
+    counts = " ".join(
+        f"{label}={count}" for label, count in permanent_dmr.counts.items()
     )
-    print("permanent fault under DMR:", permanent_dmr.summary())
+    print(f"permanent fault under DMR: trials={permanent_dmr.trials} "
+          f"{counts} coverage={permanent_dmr.detection_coverage:.3f} "
+          f"sdc_rate={permanent_dmr.silent_corruption_rate:.3f}")
     print("-> temporal redundancy agrees with its own stuck-at fault;")
     print("   only spatial/diverse redundancy can uncover it "
           "(paper Section II.B).")

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke check: project lint, tier-1 tests, the quickstart,
-# interchange-format and stop-sign examples, and a seeded serving
-# chaos scenario, each under a timeout.  Intended as the minimal
-# pre-merge gate:
+# interchange-format, stop-sign and fault-campaign examples, and a
+# seeded serving chaos scenario, each under a timeout.  Intended as
+# the minimal pre-merge gate:
 #
 #   scripts/smoke.sh            # ~2-3 minutes
 #   SMOKE_TEST_TIMEOUT=1200 scripts/smoke.sh
@@ -21,7 +21,7 @@ timeout "${LINT_TIMEOUT}" python -m repro.lint --project src tests benchmarks
 echo "== tier-1 tests (timeout ${TEST_TIMEOUT}s) =="
 timeout "${TEST_TIMEOUT}" python -m pytest -x -q -m "not slow"
 
-for example in quickstart export_hybrid_ir stop_sign_pipeline; do
+for example in quickstart export_hybrid_ir stop_sign_pipeline fault_campaign; do
     echo "== examples/${example}.py (timeout ${EXAMPLE_TIMEOUT}s) =="
     timeout "${EXAMPLE_TIMEOUT}" python "examples/${example}.py"
 done

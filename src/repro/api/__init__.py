@@ -6,7 +6,6 @@ is importable flat from this package:
 >>> from repro.api import (
 ...     Architecture, PipelineConfig, QualifierConfig,
 ...     HybridPipeline, BatchResult, build_pipeline,
-...     OPERATORS, BASELINES,
 ... )
 
 The layers:
@@ -17,11 +16,11 @@ The layers:
   the integrated architecture, a nested
   :class:`~repro.core.partition.HybridPartition`.  The hybrid
   interchange format (:mod:`repro.hybridir`) stores it as is.
-* **Registries** (:data:`OPERATORS`, :data:`BASELINES`,
-  :data:`CAMPAIGN_TARGETS`) -- string-keyed builder maps with a
-  ``register()`` decorator, so redundancy operators, protection
-  baselines and campaign targets plug in without touching the code
-  that dispatches on them.
+* **Registry** (:data:`CAMPAIGN_TARGETS`) -- the string-keyed map a
+  campaign spec names its target from, with a ``register()``
+  decorator, so campaign targets plug in without touching the engine.
+  Redundancy operator kinds register in
+  :func:`repro.reliable.operators.register_operator`.
 * **Facade** (:class:`HybridPipeline` via :func:`build_pipeline`) --
   ``infer`` / ``infer_batch`` / ``infer_stream`` over either
   architecture, returning :class:`~repro.core.hybrid.HybridResult`
@@ -44,18 +43,10 @@ from repro.api.config import (
     QualifierConfig,
     ServingConfig,
 )
-from repro.api.registry import (
-    BASELINES,
-    CAMPAIGN_TARGETS,
-    OPERATORS,
-    Registry,
-    RegistryError,
-)
+from repro.api.registry import CAMPAIGN_TARGETS, Registry, RegistryError
 from repro.api.results import BatchResult
 from repro.api.pipeline import (
     HybridPipeline,
-    build_baseline,
-    build_operator,
     build_pipeline,
     build_qualifier,
 )
@@ -74,8 +65,6 @@ __all__ = [
     "ChaosConfig",
     "Registry",
     "RegistryError",
-    "OPERATORS",
-    "BASELINES",
     "CAMPAIGN_TARGETS",
     "BatchResult",
     "HybridPipeline",
@@ -84,6 +73,4 @@ __all__ = [
     "ServerStats",
     "build_pipeline",
     "build_qualifier",
-    "build_operator",
-    "build_baseline",
 ]

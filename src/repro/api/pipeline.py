@@ -11,9 +11,7 @@ This module is the canonical entry point for hybrid inference:
 
 Construction is driven entirely by :class:`~repro.api.config.
 PipelineConfig`: :func:`build_pipeline` constructs the architecture it
-names and the shape qualifier directly; redundancy operators and
-protection baselines resolve through the registries in
-:mod:`repro.api.registry`.
+names and the shape qualifier directly.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.api.config import (
     QualifierConfig,
     ServingConfig,
 )
-from repro.api.registry import BASELINES, OPERATORS
 from repro.api.results import BatchResult
 from repro.core.hybrid import (
     HybridResult,
@@ -40,7 +37,6 @@ from repro.core.partition import HybridPartition
 from repro.core.qualifier import ShapeQualifier
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
-from repro.reliable.operators import Operator
 from repro.vision.filters import sobel_axis_stack
 
 # ---------------------------------------------------------------------------
@@ -59,17 +55,6 @@ def build_qualifier(config: QualifierConfig) -> ShapeQualifier:
         edge_threshold=config.edge_threshold,
         n_samples=config.n_samples,
     )
-
-
-def build_operator(kind: str, unit=None) -> Operator:
-    """Instantiate a redundancy operator by registry key."""
-    return OPERATORS.get(kind)(unit)
-
-
-def build_baseline(name: str, model: Sequential, **kwargs):
-    """Instantiate a protection baseline (``"ranger"``, ``"caging"``,
-    or any registered extension) around ``model``."""
-    return BASELINES.get(name)(model, **kwargs)
 
 
 def _pin_sobel_filters(model: Sequential, config: PipelineConfig) -> None:

@@ -1,20 +1,22 @@
 """String-keyed component registries for the pipeline layer.
 
-The open axes of the system -- redundancy operator, protection
-baseline, campaign target -- are each a :class:`Registry` of named
-builders.  Extensions plug in with the :meth:`Registry.register`
-decorator instead of editing the modules that dispatch on them:
+A :class:`Registry` maps names to builders, for an axis whose members
+are chosen by a string read from a file.  The one such axis is the
+campaign target: a :class:`~repro.campaigns.spec.CampaignSpec` names
+its target, and :data:`CAMPAIGN_TARGETS` resolves it.  Extensions
+plug in with the :meth:`Registry.register` decorator instead of
+editing the engine:
 
->>> from repro.api import OPERATORS
->>> @OPERATORS.register("qmr")
-... class QuadOperator(RedundantOperator):
-...     executions_per_op = 4
+>>> from repro.api import CAMPAIGN_TARGETS
+>>> @CAMPAIGN_TARGETS.register("my_kernel")
+... def run_my_kernel_trial(ctx):
+...     ...
 
-after which ``HybridPartition(redundancy="qmr")`` runs the reliable
-partition under it.  The hybrid architecture and the qualifier are
-not open axes: :func:`repro.api.pipeline.build_pipeline` constructs
-the two :class:`~repro.api.config.Architecture` members and the
-shape qualifier directly.
+after which ``CampaignSpec(target="my_kernel")`` runs it.  Redundancy
+operator kinds have their own table,
+:func:`repro.reliable.operators.register_operator`; the hybrid
+architectures, the qualifier and the protection baselines are built
+directly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Registry:
     Parameters
     ----------
     kind:
-        Human-readable name of the axis (``"architecture"``, ...);
+        Human-readable name of the axis (``"campaign target"``);
         appears in error messages so a typo'd config names the axis it
         failed on.
     """
@@ -97,64 +99,6 @@ class Registry:
         return f"Registry({self.kind!r}, {self.names()})"
 
 
-class _OperatorRegistry(Registry):
-    """Live registry *view* over the operator factory table behind
-    :func:`repro.reliable.operators.make_operator`, the single source
-    of truth for redundancy operators: every read delegates to the
-    table and registration funnels into it, so a kind registered
-    through either entry point is reachable from every kind-string
-    surface -- ``build_operator``, ``ReliableConv2D(operator="<kind>")``
-    and ``HybridPartition(redundancy="<kind>")``.  The table raises
-    ``ValueError`` on unknown/duplicate kinds, translated here to
-    :class:`RegistryError`.
-    """
-
-    def register(self, name, builder=None, *, overwrite=False):
-        from repro.reliable.operators import register_operator
-
-        def decorate(cls):
-            try:
-                register_operator(name, cls, overwrite=overwrite)
-            except ValueError as error:
-                raise RegistryError(str(error)) from None
-            return cls
-
-        if builder is None:
-            return decorate
-        return decorate(builder)
-
-    def get(self, name: str):
-        from repro.reliable.operators import _operator_class
-
-        try:
-            return _operator_class(name)
-        except ValueError as error:
-            raise RegistryError(str(error)) from None
-
-    def names(self) -> list[str]:
-        from repro.reliable.operators import operator_kinds
-
-        return operator_kinds()
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.names()
-
-    def __iter__(self):
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self.names())
-
-
-#: Redundant-execution operators: ``builder(unit=None) -> Operator``.
-#: Seeded from :mod:`repro.reliable.operators`; additions propagate
-#: back to that module's factory table.
-OPERATORS = _OperatorRegistry("operator")
-
-#: Protection baselines the paper compares against:
-#: ``builder(model, **kwargs) -> guard``.
-BASELINES = Registry("baseline")
-
 #: Campaign targets: per-trial experiment runners for the parallel
 #: fault-campaign engine, ``runner(TrialContext) -> TrialRecord``.
 #: The built-ins (``"reliable_conv"``, ``"baseline"``, ``"pipeline"``,
@@ -163,15 +107,3 @@ BASELINES = Registry("baseline")
 #: imports; register extensions with the usual decorator and select
 #: them via ``CampaignSpec(target="<name>")``.
 CAMPAIGN_TARGETS = Registry("campaign target")
-
-
-def _seed_builtin_baselines() -> None:
-    from repro.baselines import ActivationRangeGuard, OutputCage
-
-    # "ranger" is the activation-range supervision of the paper's
-    # ref [28]; "caging" the output-feasibility check of ref [27].
-    BASELINES.register("ranger", ActivationRangeGuard)
-    BASELINES.register("caging", OutputCage)
-
-
-_seed_builtin_baselines()

@@ -65,11 +65,7 @@ def iter_shards(spec: CampaignSpec) -> list[Shard]:
     return shards
 
 
-def run_shard(
-    spec: CampaignSpec,
-    shard: Shard,
-    fault_factory: Callable | None = None,
-) -> list[TrialRecord]:
+def run_shard(spec: CampaignSpec, shard: Shard) -> list[TrialRecord]:
     """Execute one shard's trials in order."""
     runner = CAMPAIGN_TARGETS.get(spec.target)
     cell = spec.cells()[shard.cell]
@@ -80,7 +76,6 @@ def run_shard(
             cell=cell,
             trial=trial,
             rng=trial_rng(spec.seed, cell.index, trial),
-            fault_factory=fault_factory,
         )
         records.append(runner(ctx))
     return records
@@ -129,7 +124,6 @@ def run_campaign(
     overwrite: bool = False,
     shard_limit: int | None = None,
     keep_records: bool = False,
-    fault_factory: Callable | None = None,
     on_shard: Callable[[Shard, int, int], None] | None = None,
 ) -> CampaignReport:
     """Run (or resume) a campaign.
@@ -156,10 +150,6 @@ def run_campaign(
         Attach every :class:`TrialRecord`, sorted by
         ``(cell, trial)``, to the returned report as ``.records`` --
         for adapters that need per-trial detail.
-    fault_factory:
-        Legacy escape hatch: a callable ``(rng) -> FaultModel`` used
-        instead of ``spec.fault``.  Not serialisable, therefore
-        serial-only.
     on_shard:
         Progress callback ``(shard, n_done, n_total)`` invoked as
         each shard completes (worker order, not shard order).
@@ -167,11 +157,6 @@ def run_campaign(
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     n_workers = 1 if workers is None else workers
-    if fault_factory is not None and n_workers > 1:
-        raise ValueError(
-            "fault_factory is a non-serialisable in-process hook; "
-            "it requires serial execution (workers=1)"
-        )
 
     start_time = time.perf_counter()
     shards = iter_shards(spec)
@@ -219,9 +204,7 @@ def run_campaign(
                 )
     else:
         for shard in pending:
-            finish_shard(
-                shard, run_shard(spec, shard, fault_factory=fault_factory)
-            )
+            finish_shard(shard, run_shard(spec, shard))
 
     # Deterministic aggregation: shards merge in index order, records
     # within a shard are already in trial order.

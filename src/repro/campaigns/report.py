@@ -7,12 +7,13 @@ Three levels:
   function of ``(spec, cell, trial)``, which is what lets determinism
   tests compare artifact files byte-for-byte across worker counts.
 * :class:`CellReport` -- per-grid-cell aggregates: outcome counts, a
-  confusion matrix over ``(expected, observed)`` labels, detection/
-  SDC rates mirroring :class:`repro.faults.campaign.CampaignResult`.
+  confusion matrix over ``(expected, observed)`` labels, and the
+  detection coverage and SDC rate over the outcome counts.
 * :class:`CampaignReport` -- the whole campaign: cell reports plus
-  execution metadata (timing, workers, resume counts).  Timing is
-  excluded from :meth:`~CampaignReport.fingerprint`, so reports from
-  different worker counts fingerprint identically.
+  execution metadata (timing, workers, resume counts), with the same
+  rates over the summed counts.  Timing is excluded from
+  :meth:`~CampaignReport.fingerprint`, so reports from different
+  worker counts fingerprint identically.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.faults.campaign import CampaignResult, Outcome
+from repro.faults.campaign import Outcome
 
 #: Canonical outcome label order for tables and serialisation.
 OUTCOME_ORDER: tuple[str, ...] = tuple(o.value for o in Outcome)
@@ -119,13 +120,17 @@ class CellReport:
         for key, value in record.metrics.items():
             self.metric_sums[key] = self.metric_sums.get(key, 0.0) + value
 
-    # -- rates (same semantics as faults.campaign.CampaignResult) ---------
+    # -- rates ------------------------------------------------------------
     @property
     def faulted(self) -> int:
+        """Trials in which at least one fault fired."""
         return self.trials - self.counts[Outcome.CLEAN.value]
 
     @property
     def detection_coverage(self) -> float:
+        """Fraction of faulted trials ending in a safe state: masked,
+        detected-recovered or detected-aborted (1.0 when none
+        faulted)."""
         if self.faulted == 0:
             return 1.0
         safe = (
@@ -137,20 +142,10 @@ class CellReport:
 
     @property
     def silent_corruption_rate(self) -> float:
+        """SDC trials per faulted trial (0.0 when none faulted)."""
         if self.faulted == 0:
             return 0.0
         return self.counts[Outcome.SILENT_CORRUPTION.value] / self.faulted
-
-    def to_campaign_result(self) -> CampaignResult:
-        """This cell as a legacy :class:`CampaignResult`."""
-        result = CampaignResult(
-            runs=self.trials,
-            counts={o: self.counts[o.value] for o in Outcome},
-            errors_detected=self.errors_detected,
-            rollbacks=self.rollbacks,
-            faults_fired=self.faults_fired,
-        )
-        return result
 
     def to_dict(self) -> dict:
         return {
@@ -226,34 +221,21 @@ class CampaignReport:
 
     @property
     def detection_coverage(self) -> float:
-        faulted = sum(cell.faulted for cell in self.cells.values())
-        if faulted == 0:
-            return 1.0
-        unsafe = self.counts[Outcome.SILENT_CORRUPTION.value]
-        return (faulted - unsafe) / faulted
+        """:attr:`CellReport.detection_coverage` over the summed
+        counts."""
+        return self._summed().detection_coverage
 
     @property
     def silent_corruption_rate(self) -> float:
-        faulted = sum(cell.faulted for cell in self.cells.values())
-        if faulted == 0:
-            return 0.0
-        return self.counts[Outcome.SILENT_CORRUPTION.value] / faulted
+        """:attr:`CellReport.silent_corruption_rate` over the summed
+        counts."""
+        return self._summed().silent_corruption_rate
+
+    def _summed(self) -> CellReport:
+        return CellReport(index=-1, trials=self.trials, counts=self.counts)
 
     def cell(self, index: int) -> CellReport:
         return self.cells[index]
-
-    def to_campaign_result(self) -> CampaignResult:
-        """All cells summed into a legacy :class:`CampaignResult`."""
-        merged = CellReport(index=-1)
-        for index in sorted(self.cells):
-            cell = self.cells[index]
-            merged.trials += cell.trials
-            for label, count in cell.counts.items():
-                merged.counts[label] += count
-            merged.faults_fired += cell.faults_fired
-            merged.errors_detected += cell.errors_detected
-            merged.rollbacks += cell.rollbacks
-        return merged.to_campaign_result()
 
     # -- serialisation ----------------------------------------------------
     def deterministic_dict(self) -> dict:

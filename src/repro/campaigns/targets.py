@@ -36,7 +36,7 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -88,17 +88,12 @@ class TrialContext:
     cell: CampaignCell
     trial: int
     rng: np.random.Generator
-    #: Non-serialisable escape hatch used by the legacy
-    #: ``run_operator_campaign`` surface; forces serial execution.
-    fault_factory: Callable[[np.random.Generator], FaultModel] | None = None
 
     def param(self, name: str, default: Any) -> Any:
         return self.cell.params.get(name, default)
 
     def build_fault(self) -> FaultModel:
         """A fresh fault model on this trial's own stream."""
-        if self.fault_factory is not None:
-            return self.fault_factory(self.rng)
         return self.cell.fault.build(self.rng)
 
 

@@ -313,7 +313,6 @@ class IntegratedHybridCNN:
             self._bif_layer,
             operator=self.partition.redundancy,
             on_persistent_failure="mark",
-            engine=self.partition.engine,
         )
 
     def infer(self, image: np.ndarray) -> HybridResult:

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
-from repro.reliable.executor import RELIABLE_ENGINES
 from repro.reliable.operators import operator_kinds, operator_multiplier
 
 
@@ -77,14 +76,9 @@ class HybridPartition:
     redundancy:
         Operator kind for the reliable portion: ``"dmr"``, ``"tmr"``,
         or any kind registered with
-        :func:`repro.reliable.operators.register_operator` (e.g. via
-        the ``repro.api.OPERATORS`` registry).
-    engine:
-        Execution engine for the reliable portion, one of
-        :data:`~repro.reliable.executor.RELIABLE_ENGINES`: ``"auto"``
-        (default; the speculate-then-verify vectorized engine exactly
-        when its result is provably bit-identical, the scalar
-        Algorithm 3 loop otherwise), ``"scalar"`` or ``"vectorized"``.
+        :func:`repro.reliable.operators.register_operator`.  The
+        reliable portion runs under the reliable conv's engine policy
+        (:func:`repro.reliable.executor.resolve_engine`).
     """
 
     reliable_filters: dict[str, tuple[int, ...]] = field(
@@ -92,7 +86,6 @@ class HybridPartition:
     )
     bifurcation_layer: str = "conv1"
     redundancy: str = "dmr"
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -103,11 +96,6 @@ class HybridPartition:
                 for name, filters in self.reliable_filters.items()
             },
         )
-        if self.engine not in RELIABLE_ENGINES:
-            raise ValueError(
-                f"engine must be one of {RELIABLE_ENGINES}, "
-                f"got {self.engine!r}"
-            )
         if self.bifurcation_layer not in self.reliable_filters:
             raise ValueError(
                 f"bifurcation layer {self.bifurcation_layer!r} has no "

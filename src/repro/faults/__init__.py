@@ -14,9 +14,9 @@ stack:
   :class:`~repro.reliable.execution_unit.ExecutionUnit` that corrupts
   arithmetic results, plus tensor corruption helpers for weights and
   activations;
-* :mod:`repro.faults.campaign` -- seeded injection campaigns with
-  outcome classification (masked / detected-recovered / detected-
-  aborted / silent data corruption).
+* :mod:`repro.faults.campaign` -- outcome classification (masked /
+  detected-recovered / detected-aborted / silent data corruption)
+  for the trials of :func:`repro.campaigns.run_campaign`.
 """
 
 from repro.faults.bitflip import flip_bit32, flip_bit64, random_bitflip
@@ -31,12 +31,7 @@ from repro.faults.injector import (
     corrupt_tensor,
     flip_weight_bits,
 )
-from repro.faults.campaign import (
-    CampaignResult,
-    Outcome,
-    classify_outcome,
-    run_operator_campaign,
-)
+from repro.faults.campaign import Outcome, classify_outcome
 
 __all__ = [
     "flip_bit32",
@@ -51,6 +46,4 @@ __all__ = [
     "flip_weight_bits",
     "Outcome",
     "classify_outcome",
-    "CampaignResult",
-    "run_operator_campaign",
 ]

@@ -1,7 +1,7 @@
-"""Fault-injection campaigns with outcome classification.
+"""Outcome classification for fault-injection campaigns.
 
-A campaign repeatedly executes a protected kernel under a fault model
-and classifies every run:
+A campaign (:func:`repro.campaigns.run_campaign`) repeatedly executes
+a protected kernel under a fault model and classifies every trial:
 
 * ``MASKED`` -- faults fired but the output still equals the golden
   (fault-free) result without any detection (e.g. TMR voting, or the
@@ -13,12 +13,14 @@ and classifies every run:
 * ``SILENT_CORRUPTION`` -- the output differs from golden with no
   detection: the outcome reliability engineering exists to prevent;
 * ``CLEAN`` -- no fault fired at all.
+
+Detection coverage and the SDC rate over these outcomes are computed
+by :class:`repro.campaigns.report.CellReport`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 
 class Outcome(enum.Enum):
@@ -59,114 +61,3 @@ def classify_outcome(
         # as silent corruption because the wrong value escaped.
         return Outcome.SILENT_CORRUPTION
     return Outcome.SILENT_CORRUPTION
-
-
-@dataclass
-class CampaignResult:
-    """Aggregated campaign statistics."""
-
-    runs: int = 0
-    counts: dict[Outcome, int] = field(
-        default_factory=lambda: {outcome: 0 for outcome in Outcome}
-    )
-    errors_detected: int = 0
-    rollbacks: int = 0
-    faults_fired: int = 0
-
-    def record(self, outcome: Outcome) -> None:
-        self.runs += 1
-        self.counts[outcome] += 1
-
-    @property
-    def silent_corruption_rate(self) -> float:
-        """SDC runs per run with at least one fired fault."""
-        faulted = self.runs - self.counts[Outcome.CLEAN]
-        if faulted == 0:
-            return 0.0
-        return self.counts[Outcome.SILENT_CORRUPTION] / faulted
-
-    @property
-    def detection_coverage(self) -> float:
-        """Fraction of faulted runs ending in a safe state.
-
-        Safe states: masked, detected-recovered, detected-aborted.
-        """
-        faulted = self.runs - self.counts[Outcome.CLEAN]
-        if faulted == 0:
-            return 1.0
-        safe = (
-            self.counts[Outcome.MASKED]
-            + self.counts[Outcome.DETECTED_RECOVERED]
-            + self.counts[Outcome.DETECTED_ABORTED]
-        )
-        return safe / faulted
-
-    def summary(self) -> str:
-        parts = [f"runs={self.runs}"]
-        parts.extend(
-            f"{outcome.value}={self.counts[outcome]}" for outcome in Outcome
-        )
-        parts.append(f"coverage={self.detection_coverage:.3f}")
-        parts.append(f"sdc_rate={self.silent_corruption_rate:.3f}")
-        return " ".join(parts)
-
-
-def run_operator_campaign(
-    fault_factory,
-    operator_kind: str = "dmr",
-    runs: int = 200,
-    vector_length: int = 32,
-    bucket_factor: int = 2,
-    bucket_ceiling: int | None = None,
-    seed: int = 0,
-) -> CampaignResult:
-    """Campaign over single reliable-convolution outputs.
-
-    A thin legacy surface over the campaign engine
-    (:func:`repro.campaigns.run_campaign` with the
-    ``"reliable_conv"`` target): each run becomes one engine trial on
-    its own :class:`~numpy.random.SeedSequence`-spawned stream.
-    Because ``fault_factory`` is an arbitrary callable it cannot cross
-    a process boundary, so this surface always executes serially --
-    build a :class:`~repro.campaigns.CampaignSpec` with a
-    :class:`~repro.campaigns.FaultSpec` to run the same campaign
-    sharded across workers.
-
-    Parameters
-    ----------
-    fault_factory:
-        Callable ``(rng) -> FaultModel`` building a fresh fault model
-        per run (fresh state matters for permanent/intermittent
-        models).
-    operator_kind:
-        ``"plain"``, ``"dmr"`` or ``"tmr"`` -- the protection level
-        under test.
-    runs:
-        Number of injected executions.
-    vector_length:
-        Receptive-field size of the synthetic convolution.
-
-    Returns
-    -------
-    CampaignResult
-    """
-    from repro.campaigns import CampaignSpec, run_campaign
-
-    spec = CampaignSpec(
-        name=f"operator-{operator_kind}",
-        target="reliable_conv",
-        trials=runs,
-        seed=seed,
-        target_params={
-            "vector_length": vector_length,
-            "operator_kind": operator_kind,
-            "bucket_factor": bucket_factor,
-            "bucket_ceiling": bucket_ceiling,
-        },
-    )
-    # repro: allow[TAINT-FLOW] -- run_campaign's clock reads feed the
-    # report's wall-clock metadata only, never a verdict; campaign
-    # verdict invariance across workers/timing is pinned by
-    # tests/campaigns/test_determinism.py.
-    report = run_campaign(spec, fault_factory=fault_factory)
-    return report.to_campaign_result()

@@ -8,9 +8,9 @@ in miniature: a JSON graph format that describes
 * the network topology (an ONNX-like op list with attributes), and
 * the **reliability annotation** -- the integrated hybrid's
   :class:`~repro.api.config.PipelineConfig`, stored as is: which
-  filters of which layers are dependable, the redundancy scheme and
-  engine, the bifurcation point, the qualifier configuration and the
-  safety class.
+  filters of which layers are dependable, the redundancy scheme, the
+  bifurcation point, the qualifier configuration and the safety
+  class.
 
 A hybrid graph is exported from a model and its config, validated
 structurally, saved/loaded as JSON (+ ``.npz`` weights), and rebuilt

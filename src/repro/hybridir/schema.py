@@ -7,7 +7,10 @@ from typing import Any
 
 from repro.api.config import PipelineConfig
 
-SCHEMA_VERSION = 2
+#: Bumped whenever the stored config changes shape, so a file of
+#: another version is refused by name (3: the partition lost its
+#: ``engine`` field).
+SCHEMA_VERSION = 3
 
 #: Supported ops and the attributes each carries.
 OP_ATTRS: dict[str, tuple[str, ...]] = {

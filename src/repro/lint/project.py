@@ -98,8 +98,8 @@ def _class_body_dict(class_node: ast.ClassDef, name: str) -> dict | None:
 
 def _is_registry_base(dotted: str | None) -> str | None:
     """Registries are module-level ALL-CAPS names by repo convention
-    (``OPERATORS``, ``CAMPAIGN_TARGETS``...).  Returns the registry
-    id (the last path component) or None."""
+    (``CAMPAIGN_TARGETS``).  Returns the registry id (the last path
+    component) or None."""
     if not dotted:
         return None
     last = dotted.rpartition(".")[2]
@@ -323,6 +323,11 @@ class _FunctionWalker(ast.NodeVisitor):
         if self.ctx.qualname(node) == "os.environ":
             self._record_source("AMBIENT-ENV", "os.environ", node)
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        # A bare ``environ`` imported with ``from os import environ``.
+        if self.ctx.qualname(node) == "os.environ":
+            self._record_source("AMBIENT-ENV", "os.environ", node)
 
 
 def _walk_def(

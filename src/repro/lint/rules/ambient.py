@@ -122,7 +122,9 @@ class EnvironRule(Rule):
                 if ctx.qualname(node.value) == "os.environ":
                     qualname, inner = "os.environ", node.value
             elif (
-                isinstance(node, ast.Attribute)
+                # ``os.environ``, or a bare ``environ`` imported with
+                # ``from os import environ``.
+                isinstance(node, (ast.Attribute, ast.Name))
                 and id(node) not in covered
                 and ctx.qualname(node) == "os.environ"
             ):

@@ -101,9 +101,9 @@ class _ImageSlice:
         )
 
 
-#: Accepted ``engine`` values of :class:`ReliableConv2D` (and of
-#: :class:`~repro.core.partition.HybridPartition`): the two engines,
-#: plus ``"auto"``, the policy that picks between them.
+#: Accepted ``engine`` values of :class:`ReliableConv2D` and of the
+#: campaign targets' ``engine`` parameter: the two engines, plus
+#: ``"auto"``, the policy that picks between them.
 RELIABLE_ENGINES = ("auto", "scalar", "vectorized")
 
 

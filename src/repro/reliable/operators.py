@@ -130,8 +130,8 @@ def register_operator(
     :class:`~repro.reliable.executor.ReliableConv2D` and
     :class:`repro.core.partition.HybridPartition.redundancy` (the
     partition derives its redundancy multiplier from the class's
-    ``executions_per_op``).  The ``repro.api.OPERATORS`` registry
-    funnels into this table.
+    ``executions_per_op``).  This table is the one place an operator
+    kind registers.
     """
     if not kind or not isinstance(kind, str):
         raise ValueError("operator kind must be a non-empty string")

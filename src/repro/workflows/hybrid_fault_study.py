@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api import QualifierConfig, build_baseline, build_qualifier
+from repro.api import QualifierConfig, build_qualifier
+from repro.baselines import ActivationRangeGuard, OutputCage
 from repro.core import Decision
 from repro.data import STOP_CLASS_INDEX, render_sign
 from repro.faults.injector import flip_weight_bits
@@ -222,9 +223,9 @@ def run_baseline_comparison(
     model = trained_model.model
     rng = np.random.default_rng(seed)
 
-    guard = build_baseline("ranger", model)
+    guard = ActivationRangeGuard(model)
     guard.calibrate(trained_model.train_x[:128])
-    cage = build_baseline("caging", model)
+    cage = OutputCage(model)
     cage.calibrate(trained_model.train_x[:128])
     qualifier = build_qualifier(QualifierConfig())
 

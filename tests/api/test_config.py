@@ -61,6 +61,13 @@ class TestHybridPartition:
         assert partition.bifurcation_layer == "conv1"
         assert partition.redundancy == "dmr"
 
+    def test_has_no_engine_field(self):
+        assert sorted(HybridPartition().to_dict()) == [
+            "bifurcation_layer", "redundancy", "reliable_filters",
+        ]
+        with pytest.raises(ValueError, match="unknown keys"):
+            HybridPartition.from_dict({"engine": "auto"})
+
     def test_json_lists_normalise_to_tuples(self):
         partition = HybridPartition(reliable_filters={"conv1": [0, 2]})
         assert partition.reliable_filters == {"conv1": (0, 2)}
@@ -139,33 +146,3 @@ def test_non_finite_json_values_rejected(cls, text):
     constructor does."""
     with pytest.raises(ValueError, match="finite"):
         cls.from_dict(json.loads(text))
-
-
-class TestPartitionEngineField:
-    def test_default_is_auto(self):
-        assert HybridPartition().engine == "auto"
-
-    def test_explicit_engine_round_trips(self):
-        config = HybridPartition(engine="vectorized")
-        clone = HybridPartition.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        )
-        assert clone == config
-        assert clone.engine == "vectorized"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            HybridPartition(engine="warp-drive")
-
-    def test_scalar_engine_reaches_reliable_executor(self):
-        from repro.api import PipelineConfig, build_pipeline
-        from repro.models import small_cnn
-
-        pipeline = build_pipeline(
-            PipelineConfig(
-                architecture="integrated",
-                partition=HybridPartition(engine="scalar"),
-            ),
-            small_cnn(32, 8, conv1_filters=8),
-        )
-        assert pipeline.hybrid._reliable_conv.engine == "scalar"

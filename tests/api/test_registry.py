@@ -1,23 +1,16 @@
-"""Registry semantics and pluggable extension scenarios."""
+"""Registry semantics."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.api import (
-    OPERATORS,
-    Registry,
-    RegistryError,
-    build_baseline,
-    build_operator,
-)
-from repro.baselines import ActivationRangeGuard, OutputCage
-from repro.models import small_cnn
-from repro.reliable.operators import (
-    PlainOperator,
-    RedundantOperator,
-    TMROperator,
-)
+import repro
+from repro.api import Registry, RegistryError
 
 
 class TestRegistry:
@@ -54,66 +47,19 @@ class TestRegistry:
             Registry("thing").register("", lambda: None)
 
 
-class TestBuiltinRegistrations:
-    def test_operators_back_the_reliable_kinds(self):
-        assert isinstance(build_operator("plain"), PlainOperator)
-        assert isinstance(build_operator("dmr"), RedundantOperator)
-        assert isinstance(build_operator("redundant"), RedundantOperator)
-        assert isinstance(build_operator("tmr"), TMROperator)
-
-    def test_baselines(self):
-        model = small_cnn(32, 8, conv1_filters=4)
-        assert isinstance(build_baseline("ranger", model),
-                          ActivationRangeGuard)
-        assert isinstance(
-            build_baseline("caging", model, min_confidence_quantile=0.05),
-            OutputCage,
-        )
-
-
-class TestPluggableOperator:
-    """OPERATORS feeds the factory table every kind-string surface
-    reads: make_operator, ReliableConv2D, HybridPartition."""
-
-    def test_registered_operator_reaches_partition_and_executor(self):
-        from repro.core import HybridPartition
-        from repro.reliable.operators import (
-            _OPERATOR_KINDS,
-            RedundantOperator,
-            make_operator,
-        )
-
-        class QuadOperator(RedundantOperator):
-            executions_per_op = 4
-
-        try:
-            OPERATORS.register("qmr-test", QuadOperator)
-            assert "qmr-test" in OPERATORS
-            assert isinstance(build_operator("qmr-test"), QuadOperator)
-            assert isinstance(make_operator("qmr-test"), QuadOperator)
-            partition = HybridPartition(redundancy="qmr-test")
-            assert partition.redundancy_multiplier() == 4
-        finally:
-            _OPERATOR_KINDS.pop("qmr-test", None)
-
-    def test_factory_table_registrations_visible_in_registry(self):
-        """Sync is two-way: OPERATORS is a live view, not a copy."""
-        from repro.reliable.operators import (
-            _OPERATOR_KINDS,
-            RedundantOperator,
-            register_operator,
-        )
-
-        try:
-            register_operator("table-side-test", RedundantOperator)
-            assert "table-side-test" in OPERATORS
-            assert isinstance(build_operator("table-side-test"),
-                              RedundantOperator)
-        finally:
-            _OPERATOR_KINDS.pop("table-side-test", None)
-
-    def test_duplicate_kind_rejected_across_layers(self):
-        from repro.reliable.operators import RedundantOperator
-
-        with pytest.raises(RegistryError, match="already registered"):
-            OPERATORS.register("dmr", RedundantOperator)
+def test_importing_the_api_loads_no_baseline():
+    """The API layer holds no baseline registry, so importing it does
+    not import :mod:`repro.baselines`."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = (
+        "import sys, repro.api; "
+        "print('repro.baselines' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

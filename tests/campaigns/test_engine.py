@@ -1,4 +1,4 @@
-"""Engine behaviour: targets, adapters, artifacts, error paths."""
+"""Engine behaviour: targets, records, artifacts, error paths."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from repro.campaigns import (
     TrialRecord,
     run_campaign,
 )
-from repro.faults.campaign import CampaignResult, Outcome
-from repro.faults.models import PermanentFault
+from repro.faults.campaign import Outcome
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -79,22 +78,6 @@ class TestSerialRun:
         assert (
             report.counts[Outcome.SILENT_CORRUPTION.value] == 10
         )
-
-    def test_legacy_adapter(self):
-        report = run_campaign(small_spec())
-        legacy = report.to_campaign_result()
-        assert isinstance(legacy, CampaignResult)
-        assert legacy.runs == 30
-        assert legacy.detection_coverage == report.detection_coverage
-        assert "coverage" in legacy.summary()
-
-    def test_fault_factory_hook_is_serial_only(self):
-        spec = small_spec()
-        factory = lambda rng: PermanentFault(bit=28, rng=rng)  # noqa: E731
-        report = run_campaign(spec, fault_factory=factory)
-        assert report.counts[Outcome.SILENT_CORRUPTION.value] == 30
-        with pytest.raises(ValueError, match="serial"):
-            run_campaign(spec, fault_factory=factory, workers=2)
 
     def test_keep_records_sorted(self):
         report = run_campaign(

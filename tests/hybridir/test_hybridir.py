@@ -68,10 +68,12 @@ class TestExport:
         rebuilt = HybridGraph.from_dict(data)
         assert rebuilt.to_dict() == graph.to_dict()
 
-    def test_schema_version_enforced(self, graph):
+    # Version 2 stored the partition with an ``engine`` field.
+    @pytest.mark.parametrize("version", [2, 999])
+    def test_schema_version_enforced(self, graph, version):
         data = graph.to_dict()
-        data["schema_version"] = 999
-        with pytest.raises(ValueError):
+        data["schema_version"] = version
+        with pytest.raises(ValueError, match=f"schema version {version}"):
             HybridGraph.from_dict(data)
 
 
@@ -260,12 +262,12 @@ class TestRoundTrip:
     same bits as the pipeline that config builds."""
 
     def test_save_load_is_lossless(self, tmp_path):
-        # 16 px keeps the six scalar TMR inferences to a few seconds.
+        # 16 px keeps the six TMR inferences fast.
         model = small_cnn(16, 8, conv1_filters=4)
         config = PipelineConfig(
             architecture="integrated",
             qualifier=QualifierConfig(threshold=2.5, edge_threshold=0.3),
-            partition=HybridPartition(redundancy="tmr", engine="scalar"),
+            partition=HybridPartition(redundancy="tmr"),
             pin_sobel=True,
         )
         pipeline = build_pipeline(config, model)

@@ -1,6 +1,7 @@
 """AMBIENT-ENV corpus: environment reads in compute code (flagged)."""
 
 import os
+from os import environ
 
 
 def threshold() -> float:
@@ -13,3 +14,7 @@ def engine_default() -> str:
 
 def debug_enabled() -> bool:
     return os.getenv("REPRO_DEBUG") is not None
+
+
+def snapshot() -> dict:
+    return dict(environ)  # bare name imported from os

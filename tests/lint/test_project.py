@@ -213,17 +213,23 @@ def test_summary_records_one_source_per_environment_read():
     ctx = FileContext.parse(
         "mod.py",
         "import os\n"
+        "from os import environ\n"
         "def f():\n"
-        "    return os.environ.get('X'), os.environ['Y']\n",
+        "    return os.environ.get('X'), os.environ['Y']\n"
+        "def g():\n"
+        "    return dict(environ), environ['Y'], environ.get('Z')\n",
     )
     sources = [
-        (source["rule"], source["what"])
+        (source["rule"], source["what"], source["line"])
         for function in summarize(ctx)["functions"]
         for source in function["sources"]
     ]
     assert sources == [
-        ("AMBIENT-ENV", "os.environ.get"),
-        ("AMBIENT-ENV", "os.environ"),
+        ("AMBIENT-ENV", "os.environ.get", 4),
+        ("AMBIENT-ENV", "os.environ", 4),
+        ("AMBIENT-ENV", "os.environ", 6),
+        ("AMBIENT-ENV", "os.environ", 6),
+        ("AMBIENT-ENV", "os.environ.get", 6),
     ]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.lint import RULES, Severity
 
-from tests.lint.conftest import lint_fixture
+from tests.lint.conftest import lint_fixture, permissive_config
 
 #: rule id -> (bad fixture, exact findings, good fixture)
 CORPUS = {
@@ -24,7 +24,7 @@ CORPUS = {
     "REDUCE-ORDER": ("reduce_order_bad.py", 5, "reduce_order_good.py"),
     "REDUCE-AXES": ("reduce_axes_bad.py", 3, "reduce_axes_good.py"),
     "AMBIENT-TIME": ("ambient_time_bad.py", 3, "ambient_time_good.py"),
-    "AMBIENT-ENV": ("ambient_env_bad.py", 3, "ambient_env_good.py"),
+    "AMBIENT-ENV": ("ambient_env_bad.py", 4, "ambient_env_good.py"),
     "AMBIENT-ID": ("ambient_id_bad.py", 2, "ambient_id_good.py"),
     "SET-ITER": ("set_iter_bad.py", 3, "set_iter_good.py"),
     "LOCK-GUARD": ("lock_guard_bad.py", 3, "lock_guard_good.py"),
@@ -86,6 +86,24 @@ def test_lock_rule_flags_closure_access():
         "an access inside a nested function must count as outside the "
         "lock (the closure runs after release)"
     )
+
+
+def test_environ_rule_reports_a_bare_name_once_per_read(tmp_path):
+    """``environ`` imported from ``os`` is read three times here: the
+    name inside the subscript and the ``.get`` call is not a fourth
+    read."""
+    from repro.lint import lint_file
+
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from os import environ\n"
+        "def f():\n"
+        "    return dict(environ), environ['Y'], environ.get('Z')\n"
+    )
+    findings = lint_file(path, permissive_config(tmp_path))
+    assert sorted(
+        (f.line, f.col) for f in findings if f.rule == "AMBIENT-ENV"
+    ) == [(3, 16), (3, 26), (3, 40)]
 
 
 def test_scope_restricts_rules_to_configured_paths(tmp_path):

@@ -12,10 +12,13 @@ from repro.reliable.execution_unit import (
     PerfectExecutionUnit,
 )
 from repro.reliable.operators import (
+    _OPERATOR_KINDS,
     PlainOperator,
     RedundantOperator,
     TMROperator,
     make_operator,
+    operator_kinds,
+    register_operator,
 )
 from repro.reliable.qualified import QualifiedValue
 from repro.reliable.voting import majority_vote
@@ -235,6 +238,17 @@ class TestVoting:
         assert not np.signbit(value)
 
 
+class QuadOperator(RedundantOperator):
+    executions_per_op = 4
+
+
+@pytest.fixture
+def scratch_kind():
+    """A test-only operator kind, removed from the table afterwards."""
+    yield "qmr-test"
+    _OPERATOR_KINDS.pop("qmr-test", None)
+
+
 class TestFactory:
     @pytest.mark.parametrize("kind, cls", [
         ("plain", PlainOperator),
@@ -246,5 +260,47 @@ class TestFactory:
         assert isinstance(make_operator(kind), cls)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'dmr', 'plain'"):
             make_operator("quintuple")
+
+    @pytest.mark.parametrize("kind, cls, error", [
+        ("", RedundantOperator, ValueError),
+        ("qmr-test", int, TypeError),
+    ])
+    def test_register_rejects_a_bad_kind_or_class(self, kind, cls, error):
+        with pytest.raises(error):
+            register_operator(kind, cls)
+        assert operator_kinds() == ["dmr", "plain", "redundant", "tmr"]
+
+    def test_overwrite_replaces_a_kind(self, scratch_kind):
+        register_operator(scratch_kind, RedundantOperator)
+        register_operator(scratch_kind, QuadOperator, overwrite=True)
+        assert type(make_operator(scratch_kind)) is QuadOperator
+
+    def test_registered_kind_reaches_every_kind_string_surface(
+        self, scratch_kind
+    ):
+        from repro.core.partition import HybridPartition
+        from repro.nn.layers.conv import Conv2D
+        from repro.reliable.executor import ReliableConv2D
+
+        register_operator(scratch_kind, QuadOperator)
+        assert scratch_kind in operator_kinds()
+        assert isinstance(make_operator(scratch_kind), QuadOperator)
+        layer = Conv2D(1, 2, 3, rng=np.random.default_rng(0))
+        conv = ReliableConv2D(layer, scratch_kind)
+        assert isinstance(conv.operator, QuadOperator)
+        _, report = conv.forward(np.ones((1, 1, 4, 4), np.float32))
+        assert report.operator_kind == scratch_kind
+        # An instance of the registered class reports the kind too.
+        _, report = ReliableConv2D(layer, QuadOperator()).forward(
+            np.ones((1, 1, 4, 4), np.float32)
+        )
+        assert report.operator_kind == scratch_kind
+        partition = HybridPartition(redundancy=scratch_kind)
+        assert partition.redundancy_multiplier() == 4
+
+    def test_duplicate_kind_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register_operator("dmr", RedundantOperator)
+        assert type(make_operator("dmr")) is RedundantOperator
