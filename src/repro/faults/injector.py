@@ -159,9 +159,8 @@ def flip_weight_bits(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Corrupt a layer's weight tensor in place; returns the flip list.
 
-    Use with try/finally or a saved copy when the corruption must be
-    undone -- campaigns in :mod:`repro.faults.campaign` handle that
-    bookkeeping.
+    Nothing here undoes the corruption: the caller restores the
+    weights, from a saved copy in a try/finally, when it must.
     """
     corrupted, flips = corrupt_tensor(
         layer.weight.value, n_flips, rng, bit_range=bit_range

@@ -16,6 +16,8 @@ Terminology follows the dependability literature the paper cites:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.faults.bitflip import (
@@ -25,12 +27,22 @@ from repro.faults.bitflip import (
     random_bitflip,
 )
 
-#: Up to this many fired elements, :meth:`TransientFault.apply_array`
-#: flips them one at a time through the scalar :func:`flip_bit32`
-#: (~1 us each); above it, one :func:`flip_bit32_array` call (~40 us,
-#: nearly all fixed) costs less.  Measured on a (1, 2, 21, 21) result,
-#: the two cost the same at ~40-48 fired elements.
-SCALAR_FLIP_MAX = 32
+#: How many gaps :meth:`TransientFault.apply_array` draws at a time, as
+#: one ``rng.geometric`` call whose draws later fires take in order.
+#: Part of the stream: another size would put the bit draws elsewhere
+#: in it, and so change every vectorized transient-fault result.
+GAP_RESERVE = 1024
+
+#: How many fires :meth:`TransientFault.apply_array` handles one at a
+#: time.  A call whose rest is expected to fire fewer times takes its
+#: gaps from the reserve one by one (~0.4 us each) instead of through
+#: one cumulative sum over it (~6 us, nearly all fixed); a call that
+#: fires at most this many elements flips them through the scalar
+#: :func:`flip_bit32` (~0.7 us each) instead of one
+#: :func:`flip_bit32_array` call (~34 us, nearly all fixed).  Measured
+#: on a (1, 2, 21, 21) result, the gaps cost the same at ~20 expected
+#: fires and the flips at ~46 fired elements; 32 lies between.
+SCALAR_FIRES_MAX = 32
 
 
 class FaultModel:
@@ -80,11 +92,12 @@ class FaultModel:
         :meth:`apply` per element -- correct for any model (it
         preserves sequential state such as a Gilbert burst), but with
         scalar cost.  Models whose draws are independent per operation
-        override this with genuinely vectorised sampling; those
-        overrides consume the random stream in a different order than
-        per-op scalar calls would, which is fine because array
-        injection is a distinct (equally valid) sampling of the same
-        fault process, never a replay of a scalar run.
+        override this with cheaper sampling of the same process
+        (:meth:`TransientFault.apply_array` draws the gaps between
+        fires); those overrides consume the random stream in a
+        different order than per-op scalar calls would, which is fine
+        because array injection is a distinct (equally valid) sampling
+        of the same fault process, never a replay of a scalar run.
         """
         values = np.asarray(values, dtype=np.float64)
         flat = values.reshape(-1)
@@ -100,6 +113,13 @@ class TransientFault(FaultModel):
     Corruption is a uniformly-random single bit flip, optionally
     restricted to a bit range (see
     :func:`repro.faults.bitflip.random_bitflip`).
+
+    :meth:`apply_array` carries two things from call to call:
+    ``array_gap``, how many array elements pass quiet before the next
+    fire, and ``gap_reserve``, the ``rng.geometric`` draws that later
+    fires take.  The gap is None until the first call takes it, so
+    building a fault draws nothing, and infinite when ``probability``
+    is 0.
     """
 
     def __init__(
@@ -114,6 +134,10 @@ class TransientFault(FaultModel):
         bit_range_bounds(bit_range)
         self.probability = probability
         self.bit_range = bit_range
+        self.array_gap: int | float | None = (
+            None if probability > 0.0 else math.inf
+        )
+        self.gap_reserve = np.empty(0, dtype=np.int64)
 
     def fires(self) -> bool:
         return bool(self.rng.random() < self.probability)
@@ -144,33 +168,102 @@ class TransientFault(FaultModel):
         )
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
-        """One independent fire draw per element, one bit draw per
-        fired element -- the vectorised sampling of the same SEU
-        process (see the base-class note on stream order).
+        """The SEU process over array elements, sampled by the gaps
+        between fires (see the base-class note on stream order).
 
-        Fired elements take their bits in C order.  Up to
-        :data:`SCALAR_FLIP_MAX` of them are flipped by index through
-        the scalar :func:`flip_bit32`, which at the rates campaigns
-        use (about one fired element per call) costs a fraction of
-        the array flip's fixed overhead; more take one
-        :func:`flip_bit32_array` call.  Both give the same words.
+        The elements of successive calls, each in C order, form one
+        stream of operations.  :attr:`array_gap` elements pass quiet,
+        the next one fires, and each fire takes the gap to the one
+        after it: the next ``rng.geometric(probability)`` draw of
+        :attr:`gap_reserve`, less one.  A fire that finds the reserve
+        empty refills it with :data:`GAP_RESERVE` draws; the first
+        call takes the first gap.  Geometric gaps have no memory, so
+        every element fires independently with ``probability``
+        however the calls cut the stream, and redundant passes see
+        disjoint, independent trials.  A call the next fire does not
+        reach draws nothing and returns ``values`` itself; a call
+        with fires draws the fired elements' bits as one
+        ``rng.integers`` block in C order and returns a corrupted
+        copy.
+
+        Below :data:`SCALAR_FIRES_MAX` expected fires the gaps are
+        taken one by one, above it through one cumulative sum; up to
+        that many fired elements flip one at a time through
+        :func:`flip_bit32`, more through one :func:`flip_bit32_array`
+        call.  Either way the draws and words are the same.  Scalar
+        :meth:`fires` and :meth:`quiet_ops` keep one draw per
+        operation and never touch the gaps.  Gap sampling replaced one
+        fire draw per element, so it changed every vectorized
+        transient-fault result and fingerprint once.
         """
         values = np.asarray(values, dtype=np.float64)
-        fired = self.rng.random(values.shape) < self.probability
-        n_fired = int(np.count_nonzero(fired))
-        if n_fired == 0:
+        if self.array_gap is None:
+            self.array_gap = self._take_step() - 1
+        n = values.size
+        if self.array_gap >= n:
+            self.array_gap -= n
             return values
+        fired = self._fire_positions(n)
+        n_fired = len(fired)
         self.activations += n_fired
         low, high = bit_range_bounds(self.bit_range)
-        bits = self.rng.integers(low, high, size=n_fired)
         out = values.copy()
-        if n_fired > SCALAR_FLIP_MAX:
-            out[fired] = flip_bit32_array(values[fired], bits)
-            return out
         flat = out.reshape(-1)  # a view: ``copy`` lays ``out`` out in C order
-        for index, bit in zip(np.flatnonzero(fired).tolist(), bits.tolist()):
+        if n_fired > SCALAR_FIRES_MAX:
+            bits = self.rng.integers(low, high, size=n_fired)
+            flat[fired] = flip_bit32_array(flat[fired], bits)
+            return out
+        # A scalar draw is the same stream as a block of one, and costs
+        # a third as much: most calls with fires fire once.
+        bits = (
+            [self.rng.integers(low, high)] if n_fired == 1
+            else self.rng.integers(low, high, size=n_fired).tolist()
+        )
+        for index, bit in zip(fired, bits):
             flat[index] = flip_bit32(flat[index], bit)
         return out
+
+    def _gap_steps(self) -> np.ndarray:
+        """:attr:`gap_reserve`, refilled if it is empty."""
+        if not self.gap_reserve.size:
+            self.gap_reserve = self.rng.geometric(
+                self.probability, size=GAP_RESERVE
+            )
+        return self.gap_reserve
+
+    def _take_step(self) -> int:
+        """The next reserve draw: the gap to the next fire, plus one."""
+        step = int(self._gap_steps()[0])
+        self.gap_reserve = self.gap_reserve[1:]
+        return step
+
+    def _fire_positions(self, n: int) -> list[int] | np.ndarray:
+        """The C-order positions of the fires among the next ``n``
+        array elements, the first at :attr:`array_gap` (below ``n``).
+        Each fire takes one step; what is left of the last one, the
+        gap that leaves the call, stays in :attr:`array_gap`."""
+        position = self.array_gap
+        if self.probability * (n - position) < SCALAR_FIRES_MAX:
+            fired = []
+            while position < n:
+                fired.append(position)
+                position += self._take_step()
+            self.array_gap = position - n
+            return fired
+        blocks = [np.array([position])]
+        while True:
+            # The fires that the reserve's steps lead to, in order.
+            ends = np.cumsum(self._gap_steps())
+            ends += position
+            inside = int(np.searchsorted(ends, n))
+            if inside < ends.size:
+                blocks.append(ends[:inside])
+                self.gap_reserve = self.gap_reserve[inside + 1:]
+                self.array_gap = int(ends[inside]) - n
+                return np.concatenate(blocks)
+            blocks.append(ends)
+            position = int(ends[-1])
+            self.gap_reserve = self.gap_reserve[:0]
 
 
 class IntermittentFault(FaultModel):

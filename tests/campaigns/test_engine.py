@@ -255,7 +255,8 @@ class TestReliableExecutionEngineParam:
         """The fault-campaign benchmark's spec: transient faults on the
         vectorized engine, whose repairs replay scalar Algorithm 3
         draw for draw.  The fingerprint predates the draw-exact
-        repair."""
+        repair and was recorded again when array injection moved to
+        gap sampling."""
         spec = CampaignSpec(
             name="e2e-fault-campaign",
             target="pipeline",
@@ -271,7 +272,7 @@ class TestReliableExecutionEngineParam:
             shard_size=1,
         )
         assert run_campaign(spec).fingerprint() == (
-            "0c90cb30f243f6a479656b965bfbd1fa4eea0b17ed24938442d305baa96540f7"
+            "b4929e961c3dbffcba5a69651dedaaaf45161684e166c284ad7cf4a0a5febe20"
         )
 
     def test_pipeline_target_accepts_engine_param(self):

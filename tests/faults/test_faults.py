@@ -17,6 +17,7 @@ from repro.faults.bitflip import (
     flip_bit32_array,
     flip_bit64,
     random_bitflip,
+    word32_array,
 )
 from repro.faults.injector import (
     FaultyExecutionUnit,
@@ -24,7 +25,7 @@ from repro.faults.injector import (
     flip_weight_bits,
 )
 from repro.faults.models import (
-    SCALAR_FLIP_MAX,
+    SCALAR_FIRES_MAX,
     IntermittentFault,
     PermanentFault,
     TransientFault,
@@ -421,9 +422,11 @@ class TestArrayFaultApplication:
 
 
 class TestTransientApplyArrayReference:
-    """``TransientFault.apply_array`` flips few fired elements one at a
-    time and many through one array call.  Either way it must give the
-    words, activations and generator state of the boolean-mask
+    """``TransientFault.apply_array`` takes the gaps of few expected
+    fires one at a time and of many through one cumulative sum, and
+    flips few fired elements one at a time and many through one array
+    call.  Every way it must give the words, activations, carried gap
+    and reserve, and generator state of the element-by-element
     reference."""
 
     SPECIALS = [
@@ -436,7 +439,7 @@ class TestTransientApplyArrayReference:
     def _inputs(cls, rng):
         """The campaign geometry, a non-contiguous view of it, and
         sizes that put all-fired calls on each side of
-        :data:`SCALAR_FLIP_MAX`."""
+        :data:`SCALAR_FIRES_MAX`."""
         base = rng.standard_normal((1, 2, 21, 21)) * 10.0 ** rng.integers(
             -45, 45, (1, 2, 21, 21)
         )
@@ -448,7 +451,7 @@ class TestTransientApplyArrayReference:
         assert not view.flags.c_contiguous
         return [
             base, view,
-            flat[:SCALAR_FLIP_MAX], flat[-SCALAR_FLIP_MAX - 1:],
+            flat[:SCALAR_FIRES_MAX], flat[-SCALAR_FIRES_MAX - 1:],
         ]
 
     @pytest.mark.parametrize(
@@ -458,7 +461,7 @@ class TestTransientApplyArrayReference:
     )
     @pytest.mark.parametrize("probability", [0.0, 1e-3, 0.05, 0.3, 1.0])
     @pytest.mark.parametrize("bit_range", [None, (31, 32), (23, 31)])
-    def test_matches_boolean_mask_reference(
+    def test_matches_element_by_element_reference(
         self, bit_generator, probability, bit_range
     ):
         fired_counts = set()
@@ -482,12 +485,90 @@ class TestTransientApplyArrayReference:
                     assert out.tobytes() == expected.tobytes()
                     assert type(fault.activations) is int
                     assert fault.activations == reference.activations
+                    assert fault.array_gap == reference.array_gap
+                    assert fault.gap_reserve.tobytes() == (
+                        reference.gap_reserve.tobytes()
+                    )
                     assert repr(fault.rng.bit_generator.state) == repr(
                         reference.rng.bit_generator.state
                     )
                     fired_counts.add(fault.activations - before)
         if probability == 1.0:
-            assert {SCALAR_FLIP_MAX, SCALAR_FLIP_MAX + 1} <= fired_counts
+            assert {SCALAR_FIRES_MAX, SCALAR_FIRES_MAX + 1} <= fired_counts
+
+
+class TestTransientGapDistribution:
+    """Gap sampling is the per-element Bernoulli(p) SEU process.  On the
+    campaign geometry, with fixed seeds: fires per call follow
+    Binomial(n, p) in mean and variance, fired positions are uniform,
+    the fire counts of consecutive calls are uncorrelated (the carried
+    gap biases nothing, so redundant passes stay independent), bits
+    are uniform over ``bit_range``, and ``activations`` counts the
+    flips made.  Each statistic must lie within four standard errors
+    of its expectation."""
+
+    @staticmethod
+    def _within(statistic, expected, standard_error):
+        assert abs(statistic - expected) < 4 * standard_error, (
+            statistic, expected, standard_error,
+        )
+
+    @pytest.mark.parametrize(
+        "probability, calls, bit_range",
+        [(1e-4, 100_000, None), (1e-3, 20_000, (23, 31)),
+         (0.05, 2_000, (0, 23))],
+    )
+    def test_fires_are_independent_bernoulli_trials(
+        self, probability, calls, bit_range
+    ):
+        fault = TransientFault(
+            probability, np.random.default_rng(2026), bit_range=bit_range
+        )
+        # Any one-bit flip changes the word of 1.0, and none makes a NaN.
+        values = np.ones((1, 2, 21, 21))
+        one = word32_array(values.reshape(-1))
+        n = values.size
+        counts = np.zeros(calls)
+        per_position = np.zeros(n)
+        per_bit = np.zeros(32)
+        for call in range(calls):
+            out = fault.apply_array(values)
+            if out is values:
+                continue
+            flipped = word32_array(out.reshape(-1)) ^ one
+            hit = np.flatnonzero(flipped)
+            assert not np.any(flipped[hit] & (flipped[hit] - 1))
+            counts[call] = hit.size
+            per_position[hit] += 1
+            per_bit += np.bincount(
+                np.log2(flipped[hit]).astype(np.int64), minlength=32
+            )
+        fires = int(counts.sum())
+        assert fault.activations == fires
+
+        q = 1.0 - probability
+        mean, variance = n * probability, n * probability * q
+        self._within(counts.mean(), mean, np.sqrt(variance / calls))
+        fourth = variance * (1 + 3 * (n - 2) * probability * q)
+        self._within(
+            counts.var(ddof=1), variance,
+            np.sqrt((fourth - variance**2) / calls),
+        )
+        lag_one = np.corrcoef(counts[:-1], counts[1:])[0, 1]
+        self._within(lag_one, 0.0, 1 / np.sqrt(calls))
+
+        expected = fires / n
+        chi_square = ((per_position - expected) ** 2 / expected).sum()
+        self._within(chi_square, n - 1, np.sqrt(2 * (n - 1)))
+
+        low, high = bit_range_bounds(bit_range)
+        assert per_bit[:low].sum() == per_bit[high:].sum() == 0
+        in_range = per_bit[low:high]
+        expected = fires / in_range.size
+        chi_square = ((in_range - expected) ** 2 / expected).sum()
+        self._within(
+            chi_square, in_range.size - 1, np.sqrt(2 * (in_range.size - 1))
+        )
 
 
 class TestArrayFaultyUnit:

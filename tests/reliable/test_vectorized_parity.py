@@ -265,7 +265,8 @@ class TestRedundancyCannotBeInherited:
 
 def test_transient_vectorized_golden():
     """Golden pin recorded before the speculative pass stopped copying
-    im2col patches: a seeded transient-fault DMR forward through the
+    im2col patches, and again when array injection moved to gap
+    sampling: a seeded transient-fault DMR forward through the
     vectorized engine.  The unit must see identical arrays in the same
     order, so the fault draws land on the same elements and outputs
     and counters replay bit for bit."""
@@ -285,14 +286,14 @@ def test_transient_vectorized_golden():
         for r in [report, *report.per_image]
     ]
     assert counters == [
-        (86994, 18, 18, 0, []),
-        (43494, 6, 6, 0, []),
-        (43500, 12, 12, 0, []),
+        (86992, 16, 16, 0, []),
+        (43497, 9, 9, 0, []),
+        (43495, 7, 7, 0, []),
     ]
     digest = hashlib.sha256(out.tobytes())
     digest.update(repr(counters).encode())
     assert digest.hexdigest() == (
-        "edbbde6d9b780c34a497150922fe258ba4240a1e88c6ad73abeabbc9ac6c1d33"
+        "00eed1f980ffd3afcb8c3ff47c18f1ab16a34a9ce17a5f1b2bb040cb69332821"
     )
 
 

@@ -3,9 +3,8 @@
 Each hybrid infers through one batched path; single-image ``infer`` is
 a batch of one.  The scalar per-image pipeline the parallel hybrid
 used to run beside it lives on here, as the oracle the parity suites
-compare the batched path against.  So does the boolean-mask form of
-transient array injection, which flips every fired element through
-one array call.
+compare the batched path against.  So does transient array injection
+walked element by element, the oracle for its gap sampling.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hybrid import HybridResult, _batch_invariant_inference
-from repro.faults.bitflip import bit_range_bounds, flip_bit32_array
-from repro.faults.models import TransientFault
+from repro.faults.bitflip import bit_range_bounds, flip_bit32
+from repro.faults.models import GAP_RESERVE, TransientFault
 from repro.nn.layers.activations import softmax
 
 
@@ -39,17 +38,40 @@ def parallel_infer_reference(
 def transient_apply_array_reference(
     fault: TransientFault, values: np.ndarray
 ) -> np.ndarray:
-    """``TransientFault.apply_array`` in its boolean-mask form: one fire
-    draw per element, one bit draw per fired element in C order, and
-    every fired element flipped by one :func:`flip_bit32_array` call."""
+    """``TransientFault.apply_array`` one element at a time, in C order:
+    an element fires when the carried gap has run down to zero, and
+    each fire takes the next gap from the fault's reserve of
+    ``rng.geometric`` draws (less one), refilling the reserve with
+    ``GAP_RESERVE`` draws when it is empty; the first call takes the
+    first gap.  The fired elements' bits follow as one ``rng.integers``
+    block, and each flips through the scalar :func:`flip_bit32`."""
+
+    def next_gap() -> int:
+        if not fault.gap_reserve.size:
+            fault.gap_reserve = fault.rng.geometric(
+                fault.probability, size=GAP_RESERVE
+            )
+        gap = int(fault.gap_reserve[0]) - 1
+        fault.gap_reserve = fault.gap_reserve[1:]
+        return gap
+
     values = np.asarray(values, dtype=np.float64)
-    fired = fault.rng.random(values.shape) < fault.probability
-    n_fired = int(fired.sum())
-    if n_fired == 0:
+    if fault.array_gap is None:
+        fault.array_gap = next_gap()
+    fired = []
+    for index in range(values.size):
+        if fault.array_gap == 0:
+            fired.append(index)
+            fault.array_gap = next_gap()
+        else:
+            fault.array_gap -= 1
+    if not fired:
         return values
-    fault.activations += n_fired
+    fault.activations += len(fired)
     low, high = bit_range_bounds(fault.bit_range)
-    bits = fault.rng.integers(low, high, size=n_fired)
+    bits = fault.rng.integers(low, high, size=len(fired)).tolist()
     out = values.copy()
-    out[fired] = flip_bit32_array(values[fired], bits)
+    flat = out.reshape(-1)
+    for index, bit in zip(fired, bits):
+        flat[index] = flip_bit32(float(flat[index]), bit)
     return out
