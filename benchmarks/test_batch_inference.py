@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import PipelineConfig, QualifierConfig, build_pipeline
+from repro.api import PipelineConfig, build_pipeline
 from repro.data import render_sign
 from repro.models import alexnet_scaled
 
@@ -32,16 +32,8 @@ TRIALS = 5
 @pytest.fixture(scope="module")
 def pipeline():
     model = alexnet_scaled(n_classes=8, input_size=64)
-    # Non-redundant qualifier: halves the per-image work that is
-    # identical in both paths, so the timing comparison focuses on
-    # what batching actually changes.  Parity is unaffected.
     return build_pipeline(
-        PipelineConfig(
-            architecture="parallel",
-            qualifier=QualifierConfig(redundant=False),
-            name="batch-bench",
-        ),
-        model,
+        PipelineConfig(architecture="parallel", name="batch-bench"), model
     )
 
 

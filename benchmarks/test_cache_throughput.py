@@ -36,7 +36,6 @@ import pytest
 
 from repro.api import (
     PipelineConfig,
-    QualifierConfig,
     ServingConfig,
     build_pipeline,
 )
@@ -66,7 +65,6 @@ def build_cache_pipeline(architecture: str):
     return build_pipeline(
         PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
             name=f"cache-bench-{architecture}",
         ),

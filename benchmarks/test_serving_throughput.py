@@ -8,7 +8,7 @@ images through a serial per-request ``pipeline.infer()`` loop -- and
 every served result must be **bitwise identical** to that serial
 call's.  The speedup is pure batching (one batcher thread does all
 inference; no thread-level parallelism is assumed), so it reflects
-what the batched engines -- batch-invariant CNN forward, doubled-lane
+what the batched engines -- batch-invariant CNN forward, single-lane
 batched qualifier, single-pass speculate-then-verify kernels -- buy
 under request-per-image traffic.
 
@@ -34,7 +34,6 @@ import pytest
 
 from repro.api import (
     PipelineConfig,
-    QualifierConfig,
     ServingConfig,
     build_pipeline,
 )
@@ -67,7 +66,6 @@ def build_serving_pipeline(architecture: str):
     return build_pipeline(
         PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
             name=f"serving-bench-{architecture}",
         ),

@@ -41,7 +41,6 @@ import numpy as np  # noqa: E402
 
 from repro.api import (  # noqa: E402
     PipelineConfig,
-    QualifierConfig,
     ServingConfig,
     build_pipeline,
 )
@@ -96,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = build_pipeline(
         PipelineConfig(
             architecture=args.architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=args.architecture == "integrated",
             name="serve-demo",
         ),

@@ -41,7 +41,6 @@ from repro.api.config import (
     ChaosConfig,
     PipelineConfig,
     QualifierConfig,
-    ServingConfig,
 )
 from repro.api.registry import CAMPAIGN_TARGETS, Registry, RegistryError
 from repro.api.results import BatchResult
@@ -54,6 +53,7 @@ from repro.serving import (
     PendingResult,
     PipelineServer,
     ServerStats,
+    ServingConfig,
 )
 
 __all__ = [

@@ -25,7 +25,6 @@ from repro.api.config import (
     Architecture,
     PipelineConfig,
     QualifierConfig,
-    ServingConfig,
 )
 from repro.api.results import BatchResult
 from repro.core.hybrid import (
@@ -37,6 +36,7 @@ from repro.core.partition import HybridPartition
 from repro.core.qualifier import ShapeQualifier
 from repro.nn.layers.conv import Conv2D
 from repro.nn.network import Sequential
+from repro.serving import PipelineServer, ServingConfig
 from repro.vision.filters import sobel_axis_stack
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,6 @@ def build_qualifier(config: QualifierConfig) -> ShapeQualifier:
         word_length=config.word_length,
         alphabet_size=config.alphabet_size,
         threshold=config.threshold,
-        redundant=config.redundant,
         edge_threshold=config.edge_threshold,
         n_samples=config.n_samples,
     )
@@ -236,8 +235,6 @@ class HybridPipeline:
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        from repro.serving import PipelineServer
-
         config = ServingConfig(
             max_batch=batch_size,
             max_wait_ms=max_wait_ms,
@@ -267,13 +264,10 @@ class HybridPipeline:
         pipeline.serve(...) as server:`` or call ``start()``).
 
         The server owns the pipeline while running: all inference goes
-        through its single batcher thread, which is what keeps the
-        stateful model/qualifier internals single-writer and the
-        per-request results bitwise identical to serial :meth:`infer`
-        calls.  See ``docs/serving.md``.
+        through its single batcher thread, which keeps the per-request
+        results bitwise identical to serial :meth:`infer` calls.  See
+        ``docs/serving.md``.
         """
-        from repro.serving import PipelineServer
-
         return PipelineServer(self, config, on_degraded=on_degraded)
 
     def _require_view_support(self) -> None:

@@ -63,7 +63,7 @@ _PIPELINE_CACHE: dict[tuple, Any] = {}
 
 
 def _pipeline_for(architecture: str, image_size: int):
-    from repro.api import PipelineConfig, QualifierConfig, build_pipeline
+    from repro.api import PipelineConfig, build_pipeline
     from repro.models.smallcnn import small_cnn
 
     key = (architecture, image_size)
@@ -71,7 +71,6 @@ def _pipeline_for(architecture: str, image_size: int):
         model = small_cnn(n_classes=8, input_size=image_size)
         config = PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
             name=f"chaos-{architecture}",
         )

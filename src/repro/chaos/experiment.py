@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.config import ChaosConfig, ServingConfig
+from repro.api.config import ChaosConfig
 from repro.chaos.faults import (
     ChaosError,
     ChaosPlan,
@@ -45,6 +45,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.proxy import ChaosPipelineProxy
 from repro.data.signs import SIGN_CLASSES, render_sign
+from repro.serving.config import ServingConfig
 from repro.serving.server import (
     PipelineServer,
     ServerClosed,

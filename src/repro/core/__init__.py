@@ -2,8 +2,10 @@
 
 * :mod:`repro.core.qualifier` -- the reliably-executed shape
   qualifier: edge map -> contour -> centroid-distance series -> SAX
-  word -> template match, with the qualifier pipeline itself run
-  redundantly.
+  word -> template match.  The scalar pipeline runs twice under
+  checkpoint/rollback; the batched engine
+  (:mod:`repro.core.qualifier_batch`) runs the exact stock types once,
+  since their second run would repeat the first word for word.
 * :mod:`repro.core.partition` -- which parts of the network form the
   dependable CNN (DCNN) and what that costs.
 * :mod:`repro.core.hybrid` -- the two architectures: the parallel

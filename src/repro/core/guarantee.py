@@ -3,9 +3,11 @@
 The hybrid's safety argument is structural: the *confirmed* decision
 for the safety class depends only on (a) arithmetic executed through
 qualified redundant operators with rollback and (b) the deterministic
-qualifier, itself redundantly executed.  This module quantifies the
-residual risk of that path and the cost saved against whole-network
-duplication.
+qualifier.  The stock qualifier is a pure function of its input that
+no fault model reaches, so one execution stands for all; a subclass,
+whose hooks may not repeat themselves, runs twice with rollback.  This
+module quantifies the residual risk of that path and the cost saved
+against whole-network duplication.
 
 Model assumptions (stated, so they can be challenged):
 
@@ -209,9 +211,11 @@ class ReliabilityGuarantee:
     def protected_path_sdc(self) -> float:
         """Residual SDC of the dependable path (the guarantee).
 
-        Only the reliable partition and the (doubly-executed)
-        qualifier feed the confirmed decision; both are protected by
-        comparison, leaving the collision residual.
+        Only the reliable partition and the deterministic qualifier
+        feed the confirmed decision.  The partition's operations are
+        protected by comparison, leaving the collision residual
+        counted here; the qualifier adds no per-operation fault term
+        (see the module docstring).
         """
         n = self.reliable_ops()
         masks = operator_masks(self.partition.redundancy)

@@ -20,7 +20,6 @@ Both produce a :class:`HybridResult` via the same
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,35 +27,8 @@ import numpy as np
 from repro.core.partition import HybridPartition
 from repro.core.qualifier import QualifierVerdict, ShapeQualifier
 from repro.nn.layers.activations import softmax
-from repro.nn.layers.dense import Dense
 from repro.nn.network import Sequential
 from repro.reliable.executor import ExecutionReport, ReliableConv2D
-
-
-@contextmanager
-def _batch_invariant_inference(model: Sequential):
-    """Run the model's Dense layers in batch-size-invariant mode.
-
-    A model serving a hybrid must produce bitwise-identical outputs
-    whether images arrive one at a time or batched (``infer`` vs
-    ``infer_batch``); Dense is the one layer whose naive batched GEMM
-    breaks that.  At n=1 the invariant form equals the blocked GEMM
-    bitwise, so entering this context never changes single-image
-    results.  Scoped to each inference call -- the model object may be
-    shared with baselines, calibration or training, which keep the
-    blocked GEMM outside hybrid inference.
-    """
-    dense_layers = [
-        layer for layer in model if isinstance(layer, Dense)
-    ]
-    previous = [layer.batch_invariant for layer in dense_layers]
-    for layer in dense_layers:
-        layer.batch_invariant = True
-    try:
-        yield
-    finally:
-        for layer, value in zip(dense_layers, previous):
-            layer.batch_invariant = value
 
 
 class Decision(enum.Enum):
@@ -215,8 +187,9 @@ class ParallelHybridCNN:
         engine (:mod:`repro.core.qualifier_batch`).  Probabilities,
         verdicts and decisions are bitwise independent of batch
         composition, so equal to n :meth:`infer` calls: every layer's
-        batched arithmetic is per-sample shape-stable (see
-        :class:`repro.nn.layers.dense.Dense`) and the qualifier
+        inference arithmetic is per-sample shape-stable, whoever else
+        shares the model (:class:`repro.nn.layers.dense.Dense` always
+        infers through a per-sample matmul), and the qualifier
         vectorizes only when provably bit-identical to its scalar
         :meth:`ShapeQualifier.check`.
         """
@@ -230,8 +203,7 @@ class ParallelHybridCNN:
             )
         if len(images) == 0:
             return []
-        with _batch_invariant_inference(self.model):
-            logits = self.model.forward(images)
+        logits = self.model.forward(images)
         probabilities = softmax(logits)
         if qualifier_views is None:
             verdicts = self.qualifier.check_batch(images)
@@ -342,10 +314,6 @@ class IntegratedHybridCNN:
     def _infer_stack(self, x: np.ndarray) -> list[HybridResult]:
         if len(x) == 0:
             return []
-        with _batch_invariant_inference(self.model):
-            return self._infer_stack_invariant(x)
-
-    def _infer_stack_invariant(self, x: np.ndarray) -> list[HybridResult]:
         # Shared prefix up to the bifurcation layer (usually empty:
         # conv1 is the first layer).
         x = self.model.forward_until(x, self._bif_index)

@@ -7,12 +7,17 @@ pipeline is the paper's Figure 3: edge map -> largest contour ->
 centroid-to-edge distance series -> SAX word -> comparison against a
 template word via a bounded distance.
 
-The qualifier is itself a *reliable* block: its verdict is produced by
-temporally-redundant execution (the pipeline runs twice and the runs
-must agree), wrapped in the same checkpoint/rollback machinery used
-for the convolution arithmetic.  A surrogate-function bound (ref [26])
-holds: the SAX distance is bounded a priori, so the accept/reject
-threshold can be fixed during certification.
+The qualifier is itself a *reliable* block.  The scalar
+:meth:`ShapeQualifier.check` / :meth:`ShapeQualifier.check_feature_map`
+run the pipeline twice inside the checkpoint/rollback machinery of
+the convolution arithmetic, and the runs must agree; a subclassed
+qualifier or encoder, whose hooks may not repeat themselves, takes
+that path.  The batched engine (:mod:`repro.core.qualifier_batch`)
+runs the exact stock types once: their stages are pure functions of
+the input bits, so a second run would repeat the first word for word.
+A surrogate-function bound (ref [26]) holds: the SAX distance is
+bounded a priori, so the accept/reject threshold can be fixed during
+certification.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 
 from repro.data.shapes2d import regular_polygon
 from repro.reliable.checkpoint import CheckpointedSegment, RollbackPolicy
+from repro.reliable.errors import PersistentFailureError
 from repro.sax.distance import (
     mindist_profile,
     rotation_index_tensor,
@@ -40,6 +46,17 @@ from repro.vision.series import centroid_distance_series
 #: uses a comparable resolution; 128 keeps eight octagon corners at
 #: 16 samples per corner period).
 SERIES_SAMPLES = 128
+
+
+def _check_image_shape(shape: tuple[int, ...]) -> None:
+    """The one image-shape check of :meth:`ShapeQualifier.check` and
+    :meth:`ShapeQualifier.check_batch`, run before any stage: an image
+    is ``(h, w)`` or ``(c, h, w)`` with no empty axis."""
+    if len(shape) not in (2, 3) or 0 in shape:
+        raise ValueError(
+            "expected an (h, w) or (c, h, w) image with no empty axis, "
+            f"got {shape}"
+        )
 
 
 def _polygon_series(sides: int, n_samples: int = SERIES_SAMPLES
@@ -166,9 +183,11 @@ class QualifierVerdict:
         explainable, for instance during a safety certification
         process").
     reliable:
-        True when the redundant qualifier executions agreed; a False
-        here means the qualifier itself detected an execution fault
-        and the verdict must be treated as unavailable.
+        False when the dependable path detected an execution fault
+        it could not repair (the scalar path's redundant executions
+        kept disagreeing, or the reliable arithmetic feeding the
+        qualifier aborted); the verdict must be treated as
+        unavailable.
     """
 
     matches: bool = False
@@ -208,15 +227,18 @@ class ShapeQualifier:
         triangles with margin on the synthetic data (see the
         calibration test in ``tests/core/test_qualifier.py``).
     redundant:
-        Execute the pipeline twice and require agreement (default
-        True; set False only for baseline measurements).
+        Execute the scalar :meth:`check` / :meth:`check_feature_map`
+        pipeline twice and require agreement (default True; set False
+        only to time one scalar evaluation).  The batched engine
+        evaluates each image once whatever this says: it runs only
+        when a second run provably repeats the first.
     edge_threshold:
         Optional fixed edge-map threshold forwarded to
         :func:`repro.vision.edges.edge_map`.
 
     :meth:`check` and :meth:`check_feature_map` are the scalar
-    pipeline: the paper-faithful reference, and the rollback repair
-    path of the batched forms.  :meth:`check_batch` and
+    pipeline: the paper-faithful reference, and the per-image loop of
+    the batched forms for a subclass.  :meth:`check_batch` and
     :meth:`check_feature_map_batch` -- the path both hybrids infer
     through -- run the vectorized engine of
     :mod:`repro.core.qualifier_batch` exactly when its verdicts are
@@ -302,37 +324,43 @@ class ShapeQualifier:
         )
         return profile.min(axis=(1, 2))
 
-    # -- public API ---------------------------------------------------------
-    def check(self, image: np.ndarray) -> QualifierVerdict:
-        """Evaluate the qualifier, redundantly when configured.
+    def _run_scalar(self, evaluate, name: str) -> QualifierVerdict:
+        """One scalar verdict from ``evaluate``, redundantly when
+        configured.
 
-        With ``redundant=True`` the full pipeline is executed twice
-        inside a :class:`CheckpointedSegment`; disagreement rolls back
-        once, persistent disagreement yields an *unreliable* verdict
-        (never an exception -- the hybrid must keep operating and
-        treat the safety class as unconfirmed).
+        With ``redundant=True`` ``evaluate`` runs twice inside a
+        :class:`CheckpointedSegment`; disagreement rolls back once,
+        and persistent disagreement (the segment's
+        :class:`~repro.reliable.errors.PersistentFailureError`) yields
+        the *unavailable* verdict rather than an exception -- the
+        hybrid must keep operating and treat the safety class as
+        unconfirmed.  Any other exception is a software error, not a
+        detected execution fault, and propagates.
         """
-        if not self.redundant:
-            matches, distance, word = self._evaluate_once(image)
-            return QualifierVerdict(matches=matches, distance=distance,
-                                word=word)
-
-        def compute() -> tuple[bool, float, str]:
-            return self._evaluate_once(image)
-
-        def validate(result: tuple[bool, float, str]) -> bool:
-            return result == self._evaluate_once(image)
-
-        segment = CheckpointedSegment(
-            compute, validate, RollbackPolicy(max_rollbacks=1),
-            name=f"qualifier[{self.shape}]",
-        )
-        try:
-            matches, distance, word = segment.run()
-        except Exception:
-            return QualifierVerdict.unavailable()
+        if self.redundant:
+            segment = CheckpointedSegment(
+                evaluate, lambda result: result == evaluate(),
+                RollbackPolicy(max_rollbacks=1),
+                name=f"{name}[{self.shape}]",
+            )
+            try:
+                result = segment.run()
+            except PersistentFailureError:
+                return QualifierVerdict.unavailable()
+        else:
+            result = evaluate()
+        matches, distance, word = result
         return QualifierVerdict(matches=matches, distance=distance,
                                 word=word)
+
+    # -- public API ---------------------------------------------------------
+    def check(self, image: np.ndarray) -> QualifierVerdict:
+        """Evaluate the qualifier on one ``(h, w)`` or ``(c, h, w)``
+        image, redundantly when configured (see :meth:`_run_scalar`)."""
+        _check_image_shape(np.shape(image))
+        return self._run_scalar(
+            lambda: self._evaluate_once(image), "qualifier"
+        )
 
     def check_feature_map(self, feature_map: np.ndarray) -> QualifierVerdict:
         """Qualifier over already-computed (reliable) edge responses.
@@ -381,21 +409,7 @@ class ShapeQualifier:
             distance = self._distance(word)
             return distance <= self.threshold, distance, word
 
-        if not self.redundant:
-            matches, distance, word = evaluate()
-            return QualifierVerdict(matches=matches, distance=distance,
-                                word=word)
-        segment = CheckpointedSegment(
-            evaluate, lambda r: r == evaluate(),
-            RollbackPolicy(max_rollbacks=1),
-            name=f"qualifier-fm[{self.shape}]",
-        )
-        try:
-            matches, distance, word = segment.run()
-        except Exception:
-            return QualifierVerdict.unavailable()
-        return QualifierVerdict(matches=matches, distance=distance,
-                                word=word)
+        return self._run_scalar(evaluate, "qualifier-fm")
 
     # -- batched API ------------------------------------------------------
     def check_batch(self, images: np.ndarray) -> list[QualifierVerdict]:
@@ -405,15 +419,13 @@ class ShapeQualifier:
         always the batch.  Returns one :class:`QualifierVerdict` per
         image, equal to ``[self.check(img) for img in images]``:
         bitwise so through the batched engine (see
-        :mod:`repro.core.qualifier_batch` for the contract, including
-        the redundant-disagreement rollback), trivially so through the
-        per-image loop a subclass takes.
+        :mod:`repro.core.qualifier_batch` for the contract), trivially
+        so through the per-image loop a subclass takes.  A stack
+        :meth:`check` would refuse image by image raises the same
+        ``ValueError`` before any stage runs.
         """
         images = np.asarray(images, dtype=np.float32)
-        if images.ndim not in (3, 4):
-            raise ValueError(
-                f"expected (n, c, h, w) or (n, h, w), got {images.shape}"
-            )
+        _check_image_shape(images.shape[1:])
         if len(images) == 0:
             return []
         from repro.core import qualifier_batch

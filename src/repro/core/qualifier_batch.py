@@ -2,40 +2,39 @@
 
 The scalar :meth:`~repro.core.qualifier.ShapeQualifier.check` is
 paper-faithful and paper-slow: per-pixel BFS labelling, a Python
-rotation loop in MINDIST, and all of it at least twice for temporal
-redundancy.  This engine keeps the Figure-3 *semantics* -- edge map ->
-largest contour -> centroid-distance series -> SAX word -> bounded
-template distance, executed redundantly with rollback -- while moving
-the arithmetic into whole-batch array passes, mirroring the
-speculate-then-verify design of :mod:`repro.reliable.vectorized`:
+rotation loop in MINDIST, and all of it twice for temporal
+redundancy.  This engine keeps the Figure-3 *semantics* -- edge map
+-> largest contour -> centroid-distance series -> SAX word -> bounded
+template distance -- while moving the arithmetic into whole-batch
+array passes that evaluate each of the ``(n, ...)`` images once:
+batched grayscale/Sobel/threshold
+(:func:`~repro.vision.edges.edge_map_batch`), every image's largest
+8-connected component from one union-find over the stack's
+foreground pixels
+(:func:`~repro.vision.contours.largest_component_batch`), a
+table-driven Moore trace of each of those components
+(:func:`~repro.vision.contours.trace_boundary_batch`), length-grouped
+series extraction
+(:func:`~repro.vision.series.centroid_distance_series_batch`), one
+SAX encoding of the stacked series matrix, and one fancy-indexed
+MINDIST over the precomputed template rotation tensor.
 
-1. **Speculate.**  Run the full batched pipeline over ``(n, ...)``
-   images in single array passes: batched grayscale/Sobel/threshold
-   (:func:`~repro.vision.edges.edge_map_batch`), every image's largest
-   8-connected component from one union-find over the stack's
-   foreground pixels
-   (:func:`~repro.vision.contours.largest_component_batch`), a
-   table-driven Moore trace of each of those components
-   (:func:`~repro.vision.contours.trace_boundary_batch`),
-   length-grouped series extraction
-   (:func:`~repro.vision.series.centroid_distance_series_batch`), one
-   SAX encoding of the stacked series matrix, and one fancy-indexed
-   MINDIST over the precomputed template rotation tensor.
-2. **Verify.**  With ``redundant=True`` the whole batched pipeline
-   executes twice -- as one doubled-lane pass over ``[batch; batch]``,
-   the same way the vectorized reliable conv runs its DMR passes as
-   stacked arrays -- and the per-image verdict tuples ``(matches,
-   distance, word)`` of the two lanes are compared, the same equality
-   the scalar ``CheckpointedSegment`` validator applies.  Every
-   batched stage is bitwise per-image-stable with respect to batch
-   composition (the property the whole engine is built on), so lane
-   ``i`` and lane ``n + i`` compute exactly what two sequential runs
-   would.
-3. **Repair.**  Only images whose two runs disagree re-execute
-   through the existing scalar checkpoint/rollback path
-   (:meth:`~repro.core.qualifier.ShapeQualifier.check`), which rolls
-   back once and degrades to an *unavailable* verdict on persistent
-   disagreement -- never an exception.
+Why one execution suffices
+--------------------------
+The engine runs only for exact types (:func:`batched_is_exact`), and
+then every stage is a pure NumPy function of the input bits: no fault
+model or RNG reaches it, and the compute-scope lint rules keep
+clocks, the environment and ``id()`` out.  A second execution would
+be the same function of the same input, word-identical to the first,
+so comparing the two could never disagree -- the argument the
+vectorized reliable conv makes for deterministic units
+(:func:`repro.reliable.vectorized.is_deterministic`: one speculative
+pass stands in for every redundant one).  Redundant execution stays
+where a second run can differ: a subclassed qualifier or encoder may
+override per-image hooks, so it takes the scalar per-image loop,
+whose :class:`~repro.reliable.checkpoint.CheckpointedSegment`
+executes twice, rolls back once and degrades to an *unavailable*
+verdict on persistent disagreement.
 
 Equivalence contract
 --------------------
@@ -54,9 +53,7 @@ series extraction groups boundaries by length so every row reduction
 walks the scalar summation tree, and the batched SAX/MINDIST forms
 reduce the same contiguous rows (see
 ``tests/core/test_qualifier_batch.py`` and the randomized differential
-harness in ``tests/support/fuzz.py``).  Subclassed qualifiers or
-encoders may override per-image hooks the batched pipeline would
-bypass, so they take the per-image loop instead.
+harness in ``tests/support/fuzz.py``).
 """
 
 from __future__ import annotations
@@ -141,26 +138,6 @@ def _qualify_masks(
     return results  # type: ignore[return-value]
 
 
-def _redundant_verdicts(
-    first: list[tuple[bool, float, str]],
-    second: list[tuple[bool, float, str]],
-    fallback,
-) -> list[QualifierVerdict]:
-    """Verify two batched runs; repair disagreements via ``fallback``.
-
-    ``fallback(i)`` must run image ``i`` through the scalar
-    checkpoint/rollback path and return its verdict (rollback once,
-    persistent disagreement -> unavailable, never an exception).
-    """
-    verdicts = []
-    for i, (a, b) in enumerate(zip(first, second)):
-        # The scalar validator's comparison: tuple equality over
-        # (bool, float, str) -- inf == inf qualifies, and distances
-        # are never NaN (gap sums are finite).
-        verdicts.append(_verdict(a) if a == b else fallback(i))
-    return verdicts
-
-
 def batched_check(
     qualifier: ShapeQualifier, images: np.ndarray
 ) -> list[QualifierVerdict]:
@@ -168,23 +145,8 @@ def batched_check(
     images; see the module docstring for the scheme and the
     equivalence contract."""
     images = np.asarray(images, dtype=np.float32)
-    if not qualifier.redundant:
-        masks = edge_map_batch(images, threshold=qualifier.edge_threshold)
-        return [_verdict(t) for t in _qualify_masks(qualifier, masks)]
-    # Temporal redundancy as one doubled-lane pass: both executions of
-    # every image run through the same array instructions, lanes i and
-    # n + i, and are compared afterwards.  Per-image bitwise stability
-    # of every batched stage guarantees this equals two sequential
-    # whole-batch runs.
-    n = len(images)
-    masks = edge_map_batch(
-        np.concatenate([images, images]),
-        threshold=qualifier.edge_threshold,
-    )
-    both = _qualify_masks(qualifier, masks)
-    return _redundant_verdicts(
-        both[:n], both[n:], lambda i: qualifier.check(images[i])
-    )
+    masks = edge_map_batch(images, threshold=qualifier.edge_threshold)
+    return [_verdict(t) for t in _qualify_masks(qualifier, masks)]
 
 
 def batched_check_feature_map(
@@ -193,10 +155,10 @@ def batched_check_feature_map(
     """Batched form of :meth:`ShapeQualifier.check_feature_map`.
 
     ``feature_maps`` is ``(n, h, w)``, ``(n, 1, h, w)`` or
-    ``(n, 2, h, w)`` -- the batched twins of the scalar layouts.  As
-    in the scalar path, the magnitude/threshold/dilation frontend runs
-    once per image and only the contour-to-distance stage is executed
-    redundantly.
+    ``(n, 2, h, w)`` -- the batched twins of the scalar layouts.  The
+    magnitude/threshold/dilation frontend is the scalar path's, and
+    the contour-to-distance stage is :func:`_qualify_masks`, shared
+    with :func:`batched_check`.
     """
     feature_maps = np.asarray(feature_maps, dtype=np.float32)
     if feature_maps.ndim == 4:
@@ -222,25 +184,10 @@ def batched_check_feature_map(
         magnitude >= (0.5 * peaks)[:, None, None]
     )
     # A non-positive peak short-circuits scalar evaluation entirely
-    # (null verdict before any redundancy); blank its mask so the
+    # (null verdict before any contour work); blank its mask so the
     # shared qualification pass skips it the same way.
     masks[dead] = False
-    if qualifier.redundant:
-        # Doubled-lane redundant execution of the contour stage; the
-        # magnitude/threshold/dilation frontend runs once per image,
-        # exactly as the scalar path computes it outside the segment.
-        n = len(masks)
-        both = _qualify_masks(
-            qualifier, np.concatenate([masks, masks])
-        )
-        verdicts = _redundant_verdicts(
-            both[:n], both[n:],
-            lambda i: qualifier.check_feature_map(feature_maps[i]),
-        )
-    else:
-        verdicts = [
-            _verdict(t) for t in _qualify_masks(qualifier, masks)
-        ]
+    verdicts = [_verdict(t) for t in _qualify_masks(qualifier, masks)]
     for i in np.nonzero(dead)[0]:
         verdicts[i] = QualifierVerdict()
     return verdicts

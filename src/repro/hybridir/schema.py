@@ -9,8 +9,8 @@ from repro.api.config import PipelineConfig
 
 #: Bumped whenever the stored config changes shape, so a file of
 #: another version is refused by name (3: the partition lost its
-#: ``engine`` field).
-SCHEMA_VERSION = 3
+#: ``engine`` field; 4: the qualifier lost its ``redundant`` field).
+SCHEMA_VERSION = 4
 
 #: Supported ops and the attributes each carries.
 OP_ATTRS: dict[str, tuple[str, ...]] = {

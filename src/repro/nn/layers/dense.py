@@ -27,13 +27,6 @@ class Dense(Layer):
         )
         self.bias = self._register(zeros_init((out_features,), rng), "bias")
         self._cache: np.ndarray | None = None
-        #: When True, inference uses the per-sample stacked matmul so
-        #: a sample's output is bitwise independent of its batch (the
-        #: hybrid pipeline's batched-parity contract; see
-        #: :mod:`repro.core.hybrid`, which sets this on its model).
-        #: Off by default: training, calibration and campaigns keep
-        #: the blocked GEMM.
-        self.batch_invariant = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
@@ -43,18 +36,17 @@ class Dense(Layer):
             )
         if training:
             self._cache = x
-        if training or not self.batch_invariant:
             # One blocked GEMM: throughput, no invariance promise.
             return x @ self.weight.value + self.bias.value
-        # Batch-invariant inference: stacked per-sample matmul instead
-        # of one (n, d) @ (d, m) GEMM.  Every sample goes through an
+        # Inference: stacked per-sample matmul instead of one
+        # (n, d) @ (d, m) GEMM.  Every sample goes through an
         # identically-shaped (1, d) @ (d, m) product, so the result
         # for a given input row is bitwise independent of the batch
         # size.  BLAS dispatches different kernels for different GEMM
         # shapes, which is what makes the naive batched product differ
-        # in the last bits from single-sample inference -- and the
-        # hybrid pipeline's batched path promises exact agreement with
-        # per-image inference.
+        # in the last bits from single-sample inference -- and batched
+        # inference (the hybrids' ``infer_batch``) promises exact
+        # agreement with per-image inference.
         return (x[:, None, :] @ self.weight.value)[:, 0, :] + self.bias.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

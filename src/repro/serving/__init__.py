@@ -6,14 +6,15 @@ with bounded-queue backpressure, per-request result demux, and bitwise
 parity with serial ``pipeline.infer()`` regardless of how requests
 interleave into batches.  See ``docs/serving.md``.
 
->>> from repro.api import ServingConfig, build_pipeline
->>> from repro.serving import PipelineServer
+>>> from repro.api import build_pipeline
+>>> from repro.serving import PipelineServer, ServingConfig
 >>> with PipelineServer(pipeline, ServingConfig(max_batch=32)) as server:
 ...     pending = [server.submit(image) for image in images]
 ...     results = [p.result() for p in pending]
 """
 
 from repro.serving.cache import ResponseCache, response_digest
+from repro.serving.config import ServingConfig
 from repro.serving.server import (
     BatcherCrash,
     PendingResult,
@@ -30,6 +31,7 @@ __all__ = [
     "PendingResult",
     "ResponseCache",
     "ServerStats",
+    "ServingConfig",
     "ServerError",
     "ServerClosed",
     "ServerOverloaded",

@@ -20,10 +20,10 @@ rather than assume it.
 
 Threading model: one batcher thread owns the pipeline and performs all
 inference.  The pipeline is deliberately *not* shared between
-concurrent ``infer_batch`` calls -- the model's batch-invariant mode is
-toggled around each call and the qualifier's rollback machinery is
-stateful, so a second in-flight call could observe half-configured
-layers.  Micro-batching, not thread parallelism, is where the
+concurrent ``infer_batch`` calls -- a fault-injected execution unit
+draws every fault from one random stream, so two in-flight calls would
+split that stream by thread timing and no served result could be
+replayed.  Micro-batching, not thread parallelism, is where the
 throughput comes from.
 """
 
@@ -36,8 +36,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.api.config import ServingConfig
 from repro.serving.cache import ResponseCache
+from repro.serving.config import ServingConfig
 from repro.serving.stats import ServerStats, StatsRecorder
 
 
@@ -162,7 +162,7 @@ class PipelineServer:
         batcher thread becomes its sole user while the server runs.
     config:
         Batching and backpressure knobs
-        (:class:`~repro.api.config.ServingConfig`); defaults apply
+        (:class:`~repro.serving.config.ServingConfig`); defaults apply
         when omitted.
     on_degraded:
         Optional graceful-degradation hook: called from the batcher

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import QualifierConfig, build_qualifier
+from repro.core.qualifier import ShapeQualifier
 from repro.data.signs import render_sign
 from repro.nn.layers.conv import Conv2D
 from repro.reliable.execution_unit import Float32ExecutionUnit
@@ -183,7 +183,7 @@ def time_sax_qualifier(
     stop-sign image of the paper's input size.
     """
     del seed  # the qualifier is deterministic
-    qualifier = build_qualifier(QualifierConfig(redundant=False))
+    qualifier = ShapeQualifier(redundant=False)
     image = render_sign(0, size=image_size, rotation=np.deg2rad(5))
     qualifier.check(image)  # warm-up outside timing
     start = time.perf_counter()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import PipelineConfig, QualifierConfig, build_pipeline
+from repro.api import PipelineConfig, build_pipeline
 from repro.data import render_sign
 from repro.faults.injector import FaultyExecutionUnit, flip_weight_bits
 from repro.faults.models import TransientFault
@@ -139,11 +139,7 @@ class TestIntegratedParity:
         detected and rolled back, so recovered outputs -- batched or
         not -- equal the fault-free ones bitwise."""
         pipeline = build_pipeline(
-            PipelineConfig(
-                architecture="integrated",
-                pin_sobel=True,
-                qualifier=QualifierConfig(redundant=False),
-            ),
+            PipelineConfig(architecture="integrated", pin_sobel=True),
             small_cnn(32, 8, conv1_filters=8),
         )
         conv1 = pipeline.model.layer("conv1")

@@ -23,7 +23,6 @@ class TestQualifierConfig:
         assert config.shape == "octagon"
         assert config.word_length == 32
         assert config.alphabet_size == 8
-        assert config.redundant is True
 
     @pytest.mark.parametrize("kwargs", [
         {"word_length": 0},
@@ -42,8 +41,7 @@ class TestQualifierConfig:
             QualifierConfig(**kwargs)
 
     def test_round_trip(self):
-        config = QualifierConfig(threshold=2.5, redundant=False,
-                                 edge_threshold=0.4)
+        config = QualifierConfig(threshold=2.5, edge_threshold=0.4)
         clone = QualifierConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         )
@@ -52,6 +50,15 @@ class TestQualifierConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown keys"):
             QualifierConfig.from_dict({"worliength": 16})
+
+    def test_from_dict_rejects_retired_redundant_key(self):
+        """The batched engine decides redundancy from exact types, so
+        a config still carrying ``redundant`` fails loudly instead of
+        being silently dropped."""
+        data = QualifierConfig().to_dict()
+        assert "redundant" not in data
+        with pytest.raises(ValueError, match="unknown keys"):
+            QualifierConfig.from_dict({**data, "redundant": True})
 
 
 class TestHybridPartition:

@@ -52,12 +52,11 @@ class TestBuildPipeline:
     def test_qualifier_config_is_applied(self, model):
         pipeline = build_pipeline(
             PipelineConfig(
-                qualifier=QualifierConfig(threshold=1.5, redundant=False)
+                qualifier=QualifierConfig(threshold=1.5)
             ),
             model,
         )
         assert pipeline.qualifier.threshold == 1.5
-        assert pipeline.qualifier.redundant is False
 
     def test_pin_sobel_sets_dependable_filters(self):
         pinned = small_cnn(32, 8, conv1_filters=8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import PipelineConfig, QualifierConfig, build_pipeline
+from repro.api import PipelineConfig, build_pipeline
 from repro.models.smallcnn import small_cnn
 
 IMAGE_SIZE = 20
@@ -16,7 +16,6 @@ def make_chaos_pipeline(architecture: str = "parallel"):
     return build_pipeline(
         PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
             name=f"chaos-test-{architecture}",
         ),

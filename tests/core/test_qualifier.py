@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import qualifier_batch
 from repro.core.qualifier import (
     QualifierVerdict,
     ShapeQualifier,
@@ -14,6 +15,8 @@ from repro.core.qualifier import (
 )
 from repro.data import SIGN_CLASSES, render_sign
 from repro.sax.sax import SaxEncoder
+from repro.vision.edges import to_grayscale
+from repro.vision.filters import SOBEL_X, SOBEL_Y, correlate2d
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,46 @@ class TestVerdict:
         assert len(verdict.word) == qualifier.encoder.word_length
 
 
+@pytest.fixture(scope="module")
+def stop_maps(stop_image):
+    """Sobel-pair responses of the stop sign: the integrated hybrid's
+    bifurcated view, the input of ``check_feature_map``."""
+    grey = to_grayscale(stop_image)
+    return np.stack([
+        correlate2d(grey, SOBEL_X), correlate2d(grey, SOBEL_Y)
+    ])
+
+
+class FaultyQualifier(ShapeQualifier):
+    """Counts the scalar evaluations through ``_distance`` -- the hook
+    ``check`` and ``check_feature_map`` both call once per evaluation
+    -- and nudges the distance by the call number on the calls
+    ``corrupt`` selects, so no two corrupted runs agree."""
+
+    def __init__(self, corrupt) -> None:
+        super().__init__()
+        self.corrupt = corrupt
+        self.calls = 0
+
+    def _distance(self, word: str) -> float:
+        self.calls += 1
+        distance = super()._distance(word)
+        if self.corrupt(self.calls):
+            distance += self.calls
+        return distance
+
+
+def _scalar(qualifier, path, stop_image, stop_maps):
+    if path == "check":
+        return qualifier.check(stop_image)
+    return qualifier.check_feature_map(stop_maps)
+
+
 class TestRedundantExecution:
+    """The scalar path executes twice inside a checkpointed segment;
+    the batched engine that exact types take evaluates each image
+    once."""
+
     def test_redundant_and_plain_agree_on_clean_input(self, stop_image):
         redundant = ShapeQualifier(redundant=True).check(stop_image)
         plain = ShapeQualifier(redundant=False).check(stop_image)
@@ -104,6 +146,82 @@ class TestRedundantExecution:
     def test_verdict_reliable_flag_on_clean_execution(self, qualifier,
                                                       stop_image):
         assert qualifier.check(stop_image).reliable
+
+    @pytest.mark.parametrize("path", ["check", "check_feature_map"])
+    def test_one_off_disagreement_rolls_back_once(
+        self, path, stop_image, stop_maps
+    ):
+        """A fault in the first run only: the two runs disagree, the
+        segment rolls back once, and the re-execution's agreeing runs
+        give the clean verdict."""
+        qualifier = FaultyQualifier(corrupt=lambda call: call == 1)
+        verdict = _scalar(qualifier, path, stop_image, stop_maps)
+        clean = _scalar(ShapeQualifier(), path, stop_image, stop_maps)
+        assert qualifier.calls == 4  # run, compare, rerun, compare
+        assert verdict == clean
+        assert verdict.reliable and verdict.matches
+
+    @pytest.mark.parametrize("path", ["check", "check_feature_map"])
+    def test_persistent_disagreement_goes_unavailable(
+        self, path, stop_image, stop_maps
+    ):
+        """Every run disagrees: after its one rollback the segment
+        gives up, and the verdict degrades to unavailable -- never an
+        exception."""
+        qualifier = FaultyQualifier(corrupt=lambda call: True)
+        verdict = _scalar(qualifier, path, stop_image, stop_maps)
+        assert qualifier.calls == 4
+        assert verdict == QualifierVerdict.unavailable()
+
+    @pytest.mark.parametrize("path", ["check", "check_feature_map"])
+    def test_software_error_in_hook_propagates(
+        self, path, stop_image, stop_maps
+    ):
+        """Only persistent disagreement is a detected execution fault;
+        a bug in a subclass hook surfaces instead of posing as an
+        unavailable verdict."""
+
+        class BrokenQualifier(ShapeQualifier):
+            def _distance(self, word: str) -> float:
+                raise RuntimeError("broken hook")
+
+        with pytest.raises(RuntimeError, match="broken hook"):
+            _scalar(BrokenQualifier(), path, stop_image, stop_maps)
+
+    def test_subclass_executes_twice_through_check_batch(self):
+        """A subclass may override hooks that need not repeat
+        themselves, so ``check_batch`` keeps it on the scalar path:
+        two executions per image."""
+        calls = []
+
+        class CountingQualifier(ShapeQualifier):
+            def _evaluate_once(self, image):
+                calls.append(1)
+                return super()._evaluate_once(image)
+
+        images = np.stack([render_sign(i, size=64) for i in range(3)])
+        got = CountingQualifier().check_batch(images)
+        assert len(calls) == 2 * len(images)
+        assert got == ShapeQualifier().check_batch(images)
+
+    def test_stock_qualifier_evaluates_each_image_once(
+        self, monkeypatch, stop_maps
+    ):
+        """Exact types take the batched engine, which hands the shared
+        contour stage ``n`` masks -- one lane, no doubled copy."""
+        sizes = []
+        real = qualifier_batch._qualify_masks
+
+        def spying(qualifier, masks):
+            sizes.append(len(masks))
+            return real(qualifier, masks)
+
+        monkeypatch.setattr(qualifier_batch, "_qualify_masks", spying)
+        qualifier = ShapeQualifier()
+        images = np.stack([render_sign(i, size=64) for i in range(3)])
+        qualifier.check_batch(images)
+        qualifier.check_feature_map_batch(np.stack([stop_maps] * 2))
+        assert sizes == [3, 2]
 
 
 class TestFeatureMapPath:

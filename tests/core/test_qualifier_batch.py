@@ -4,13 +4,14 @@ The contract under test (see :mod:`repro.core.qualifier_batch`):
 ``check_batch`` / ``check_feature_map_batch`` -- and both hybrid
 architectures' ``infer_batch`` through them -- are **bitwise**
 identical to per-image scalar calls: verdict flags, distances (on
-storage bits), words and decisions, including degenerate inputs and
-the redundant-disagreement rollback path.
+storage bits), words and decisions, including degenerate inputs, and
+both refuse the same malformed shapes.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import struct
 
 import numpy as np
@@ -263,88 +264,10 @@ class TestDegenerateInputs:
         )
 
 
-class TestRedundantDisagreement:
-    """Inject disagreement between the two batched runs; disagreeing
-    images must take the scalar checkpoint/rollback path."""
-
-    def _corrupt_first_run(self, monkeypatch, corrupt_indices):
-        real = qualifier_batch._qualify_masks
-        calls = {"n": 0}
-
-        def flaky(qualifier, masks):
-            results = real(qualifier, masks)
-            calls["n"] += 1
-            if calls["n"] == 1:  # first speculative run only
-                for i in corrupt_indices:
-                    matches, distance, word = results[i]
-                    results[i] = (matches, distance + 1.0, word)
-            return results
-
-        monkeypatch.setattr(qualifier_batch, "_qualify_masks", flaky)
-        return calls
-
-    def test_disagreeing_images_fall_back_to_scalar(
-        self, monkeypatch, sign_batch
-    ):
-        qualifier = ShapeQualifier()
-        expected = [qualifier.check(image) for image in sign_batch]
-        scalar_calls: list[int] = []
-        real_check = ShapeQualifier.check
-
-        def spying_check(self, image):
-            scalar_calls.append(1)
-            return real_check(self, image)
-
-        monkeypatch.setattr(ShapeQualifier, "check", spying_check)
-        self._corrupt_first_run(monkeypatch, corrupt_indices=(1, 4))
-        batch = qualifier.check_batch(sign_batch)
-        # The transient corruption is repaired by re-execution: every
-        # verdict still equals the scalar one bitwise, and exactly the
-        # two disagreeing images took the scalar rollback path.
-        assert_verdicts_bitwise_equal(batch, expected)
-        assert len(scalar_calls) == 2
-
-    def test_persistent_disagreement_goes_unavailable(
-        self, monkeypatch, sign_batch
-    ):
-        """When the scalar rollback path itself keeps disagreeing, the
-        verdict degrades to unavailable -- never an exception."""
-        qualifier = ShapeQualifier()
-        images = sign_batch[:4]
-
-        flips = {"n": 0}
-        real_evaluate = ShapeQualifier._evaluate_once
-
-        def flaky_evaluate(self, image):
-            matches, distance, word = real_evaluate(self, image)
-            flips["n"] += 1
-            return matches, distance + float(flips["n"]), word
-
-        self._corrupt_first_run(monkeypatch, corrupt_indices=(2,))
-        monkeypatch.setattr(
-            ShapeQualifier, "_evaluate_once", flaky_evaluate
-        )
-        batch = qualifier.check_batch(images)
-        assert batch[2] == QualifierVerdict.unavailable()
-        for i in (0, 1, 3):
-            assert batch[i].reliable
-
-    def test_feature_map_disagreement_falls_back(
-        self, monkeypatch, feature_batch
-    ):
-        qualifier = ShapeQualifier()
-        expected = [
-            qualifier.check_feature_map(fm) for fm in feature_batch
-        ]
-        self._corrupt_first_run(monkeypatch, corrupt_indices=(0,))
-        batch = qualifier.check_feature_map_batch(feature_batch)
-        assert_verdicts_bitwise_equal(batch, expected)
-
-
 @functools.cache
-def _lane_pool() -> np.ndarray:
-    """Images the doubled-lane property composes batches from: signs
-    of several shapes and rotations plus degenerate frames (blank,
+def _composition_pool() -> np.ndarray:
+    """Images the composition property draws batches from: signs of
+    several shapes and rotations plus degenerate frames (blank,
     constant, a single bright pixel, noise)."""
     signs = [
         render_sign(i % 8, size=64, rotation=np.deg2rad(11 * i - 30))
@@ -365,34 +288,53 @@ def _verdict_key(result: tuple[bool, float, str]) -> tuple:
     return matches, bits(distance), word
 
 
-class TestDoubledLaneProperty:
-    """The doubled-lane redundancy of ``batched_check`` rests on every
-    batched stage being per-image stable under batch composition:
-    lane ``i`` of ``[batch; batch]`` must compute exactly what lane
-    ``n + i`` -- and the image on its own -- computes."""
+class TestBatchCompositionStability:
+    """The batched engine evaluates each image once and promises what
+    n scalar calls return, so every batched stage must be per-image
+    stable under batch composition: an image's verdict may not depend
+    on which other images -- or how many copies of itself -- share
+    its batch."""
 
     @settings(max_examples=25, deadline=None)
     @given(picks=st.lists(st.integers(0, 9), min_size=1, max_size=6))
-    def test_lanes_agree_under_batch_composition(self, picks):
+    def test_verdicts_stable_under_batch_composition(self, picks):
         # Index lists cover subsets, permutations and duplicates.
-        images = _lane_pool()[picks]
+        images = _composition_pool()[picks]
         qualifier = ShapeQualifier()
-        n = len(images)
-        masks = edge_map_batch(
-            np.concatenate([images, images]),
-            threshold=qualifier.edge_threshold,
-        )
-        both = qualifier_batch._qualify_masks(qualifier, masks)
-        for i in range(n):
+        masks = edge_map_batch(images, threshold=qualifier.edge_threshold)
+        together = qualifier_batch._qualify_masks(qualifier, masks)
+        for i in range(len(images)):
             alone = qualifier_batch._qualify_masks(
                 qualifier, masks[i : i + 1]
             )[0]
-            assert _verdict_key(both[i]) == _verdict_key(both[n + i])
-            assert _verdict_key(both[i]) == _verdict_key(alone)
+            assert _verdict_key(together[i]) == _verdict_key(alone)
         assert_verdicts_bitwise_equal(
             qualifier.check_batch(images),
             [qualifier.check(image) for image in images],
         )
+
+
+class TestMalformedImages:
+    """``check`` and ``check_batch`` share one shape check: an image is
+    ``(h, w)`` or ``(c, h, w)`` with no empty axis, and anything else
+    raises a ``ValueError`` naming the shape before any stage runs --
+    the per-image loop never returns a miss for an image the batched
+    engine refuses."""
+
+    @pytest.mark.parametrize("shape", [
+        (5,),          # 1-D
+        (3, 0, 4),     # zero height
+        (3, 4, 0),     # zero width
+        (0, 4),        # zero height, greyscale
+        (2, 3, 4, 4),  # 4-D
+    ])
+    def test_check_and_check_batch_refuse_alike(self, shape):
+        qualifier = ShapeQualifier()
+        image = np.ones(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            qualifier.check(image)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            qualifier.check_batch(np.stack([image, image]))
 
 
 class TestEnginePolicy:

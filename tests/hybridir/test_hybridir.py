@@ -68,8 +68,9 @@ class TestExport:
         rebuilt = HybridGraph.from_dict(data)
         assert rebuilt.to_dict() == graph.to_dict()
 
-    # Version 2 stored the partition with an ``engine`` field.
-    @pytest.mark.parametrize("version", [2, 999])
+    # Version 2 stored the partition with an ``engine`` field, and
+    # version 3 the qualifier with a ``redundant`` field.
+    @pytest.mark.parametrize("version", [2, 3, 999])
     def test_schema_version_enforced(self, graph, version):
         data = graph.to_dict()
         data["schema_version"] = version

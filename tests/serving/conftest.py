@@ -10,11 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import (
-    PipelineConfig,
-    QualifierConfig,
-    build_pipeline,
-)
+from repro.api import PipelineConfig, build_pipeline
 from repro.core.qualifier import ShapeQualifier
 from repro.data import render_sign
 from repro.models.smallcnn import small_cnn
@@ -45,14 +41,13 @@ def make_pipeline(
     pipeline = build_pipeline(
         PipelineConfig(
             architecture=architecture,
-            qualifier=QualifierConfig(redundant=True),
             pin_sobel=architecture == "integrated",
             name=f"serving-test-{architecture}",
         ),
         model,
     )
     if per_image_qualifier:
-        pipeline.hybrid.qualifier = PerImageQualifier(redundant=True)
+        pipeline.hybrid.qualifier = PerImageQualifier()
     return pipeline
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hybrid import HybridResult, _batch_invariant_inference
+from repro.core.hybrid import HybridResult
 from repro.faults.bitflip import bit_range_bounds, flip_bit32
 from repro.faults.models import GAP_RESERVE, TransientFault
 from repro.nn.layers.activations import softmax
@@ -24,8 +24,7 @@ def parallel_infer_reference(
     batch of one, then the qualifier's scalar ``check`` on the view
     (``image`` itself by default), combined by the result block."""
     image = np.asarray(image, dtype=np.float32)
-    with _batch_invariant_inference(hybrid.model):
-        logits = hybrid.model.forward(image[None])
+    logits = hybrid.model.forward(image[None])
     probabilities = softmax(logits)[0]
     view = image if qualifier_view is None else qualifier_view
     verdict = hybrid.qualifier.check(np.asarray(view, dtype=np.float32))
